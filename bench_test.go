@@ -5,6 +5,7 @@
 package modelir_test
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -578,7 +579,7 @@ func BenchmarkE8GeologyPruned(b *testing.B)     { benchGeology(b, core.GeoPruned
 // ---- E9: shard scaling of the tuple engine ----
 
 // The workload is experiments.ShardWorkload — the same scan-bound
-// archive and model the CI-archived BENCH_shards.json measures. On a
+// archive and model benchtab's E9 table measures. On a
 // multi-core host the sub-benchmarks trace the speedup curve;
 // GOMAXPROCS=1 shows break-even overhead.
 var e9Data = sync.OnceValues(func() (struct {
@@ -798,8 +799,7 @@ func BenchmarkRunBatch(b *testing.B) {
 
 // BenchmarkCacheHit pins the acceptance criterion: on the linear
 // family, a cache hit must be at least 10x cheaper than the cold
-// execution it replays (CI compares the two ns/op lines; the
-// benchtab -servejson artifact records the ratio).
+// execution it replays (CI compares the two ns/op lines).
 func BenchmarkCacheHit(b *testing.B) {
 	d, err := e9Data()
 	if err != nil {
@@ -906,7 +906,8 @@ func BenchmarkLinearScanSteadyState(b *testing.B) {
 
 // BenchmarkLinearScanRowLayout is the row-layout ([][]float64)
 // sequential scan over the same workload — the baseline the columnar
-// path's speedup is measured against (benchtab -memjson records both).
+// path's speedup is measured against (CI gates the ns/op ratio of the
+// two benchmarks at >= 1.5x).
 func BenchmarkLinearScanRowLayout(b *testing.B) {
 	d, err := e9Data()
 	if err != nil {
@@ -992,4 +993,122 @@ func BenchmarkSceneScanSteadyState(b *testing.B) {
 	if len(buf) != 10 {
 		b.Fatalf("descent kept %d items", len(buf))
 	}
+}
+
+// BenchmarkSceneScanGridRef times the pre-columnar Grid descent on the
+// same scene as BenchmarkSceneScanSteadyState; CI gates the ratio of
+// the two ns/op lines at >= 1.5x. The benchmark first requires the
+// reference and the flat descent to return identical items.
+func BenchmarkSceneScanGridRef(b *testing.B) {
+	d, err := e5Data()
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, _, err := progressive.CombinedShardAppend(d.pm, d.mp, 10, progressive.Roots(d.mp), progressive.DescendOpts{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := gridDescendRef(d.pm, d.mp, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(got) != len(want) {
+		b.Fatalf("grid reference kept %d items, flat descent %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+			b.Fatalf("pos %d: grid reference %+v, flat descent %+v", i, got[i], want[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gridDescendRef(d.pm, d.mp, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// gridCellPQ is the container/heap frontier the descent used before
+// the columnar rewrite — interface boxing per push and all.
+type gridCellEntry struct {
+	level, x, y int
+	upper       float64
+}
+type gridCellPQ []gridCellEntry
+
+func (q gridCellPQ) Len() int           { return len(q) }
+func (q gridCellPQ) Less(i, j int) bool { return q[i].upper > q[j].upper }
+func (q gridCellPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *gridCellPQ) Push(v any)        { *q = append(*q, v.(gridCellEntry)) }
+func (q *gridCellPQ) Pop() (v any)      { old := *q; n := len(old); v = old[n-1]; *q = old[:n-1]; return }
+
+// gridDescendRef is a faithful copy of the pre-columnar Combined
+// descent: map-based binding, per-band Grid pointer chases for every
+// envelope and pixel read, fresh frontier/heap/buffers per call. It is
+// the reference BenchmarkSceneScanGridRef times and checks the flat
+// descent against.
+func gridDescendRef(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int) ([]topk.Item, error) {
+	m := pm.Full()
+	bind, err := progressive.Bind(m, mp)
+	if err != nil {
+		return nil, err
+	}
+	h := topk.MustHeap(k)
+	nTerms := m.NumTerms()
+	lo := make([]float64, nTerms)
+	hi := make([]float64, nTerms)
+	x := make([]float64, nTerms)
+	w := mp.Band(0).Level(0).Mean.Width()
+
+	bound := func(level, cx, cy int) (float64, error) {
+		for i, b := range bind.Bands {
+			l := mp.Band(b).Level(level)
+			lo[i] = l.Min.At(cx, cy)
+			hi[i] = l.Max.At(cx, cy)
+		}
+		_, ub, err := m.Interval(lo, hi)
+		return ub, err
+	}
+	pq := &gridCellPQ{}
+	heap.Init(pq)
+	for _, c := range progressive.Roots(mp) {
+		ub, err := bound(c.Level, c.X, c.Y)
+		if err != nil {
+			return nil, err
+		}
+		heap.Push(pq, gridCellEntry{level: c.Level, x: c.X, y: c.Y, upper: ub})
+	}
+	for pq.Len() > 0 {
+		e := heap.Pop(pq).(gridCellEntry)
+		if f, ok := h.Threshold(); ok && e.upper < f {
+			break
+		}
+		if e.level == 0 {
+			for i, b := range bind.Bands {
+				x[i] = mp.Band(b).Level(0).Mean.At(e.x, e.y)
+			}
+			c := pm.EvalLevelUnchecked(0, x)
+			if f, ok := h.Threshold(); ok && c+pm.Resid(0) < f {
+				continue
+			}
+			h.OfferScore(int64(e.y*w+e.x), m.EvalUnchecked(x))
+			continue
+		}
+		fine := mp.Band(0).Level(e.level - 1).Mean
+		for dy := 0; dy < 2; dy++ {
+			for dx := 0; dx < 2; dx++ {
+				nx, ny := 2*e.x+dx, 2*e.y+dy
+				if nx >= fine.Width() || ny >= fine.Height() {
+					continue
+				}
+				ub, err := bound(e.level-1, nx, ny)
+				if err != nil {
+					return nil, err
+				}
+				heap.Push(pq, gridCellEntry{level: e.level - 1, x: nx, y: ny, upper: ub})
+			}
+		}
+	}
+	return h.Results(), nil
 }

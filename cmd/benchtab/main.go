@@ -1,30 +1,23 @@
 // benchtab regenerates the paper's evaluation tables (experiments E1-E8
-// plus the shard-scaling sweep E9; see DESIGN.md §3 and EXPERIMENTS.md).
+// plus the shard-scaling sweep E9; see DESIGN.md §3) and the A1-A4
+// ablations. End-to-end and per-layer timings of the serving stack come
+// from modelirbench (see modelirbench/README.md), not from here.
 //
 // Usage:
 //
 //	benchtab                             # run all experiments at full scale
 //	benchtab -e e1,e5                    # run selected experiments
 //	benchtab -quick                      # small data sizes (seconds instead of minutes)
-//	benchtab -shardjson BENCH_shards.json  # also write the shard-scaling baseline
-//	benchtab -servejson BENCH_serve.json   # also write the serving-layer baseline
-//	benchtab -memjson BENCH_mem.json       # also write the scan-bound memory baseline
-//	benchtab -kerneljson BENCH_kernels.json  # also write the per-family scan-kernel baseline
-//	benchtab -clusterjson BENCH_cluster.json # also write the multi-node cluster baseline
-//	benchtab -persistjson BENCH_persist.json # also write the snapshot/restore durability baseline
-//	benchtab -ingestjson BENCH_ingest.json   # also write the live-ingest baseline
-//	benchtab -clusteringestjson BENCH_clusteringest.json # also write the replicated cluster-ingest baseline
-//	benchtab -resyncjson BENCH_resync.json   # also write the snapshot-resync (log-pruned recovery) baseline
 //	benchtab -cpuprofile cpu.pprof       # profile the run (go tool pprof)
 //	benchtab -memprofile mem.pprof       # heap profile at exit
 //	benchtab -timeout 30s                # bound the run with a context deadline
 //
 // -timeout wires a context.WithTimeout through the experiment driver:
-// the shard sweep cancels its Engine.Run queries mid-shard when the
-// deadline fires and records the cancellation in the -shardjson
-// artifact (cancelled/cancel_error fields); remaining experiments are
-// skipped. A timed-out run prints what completed and exits 0 — the
-// deadline is an operational bound, not a failure.
+// the E9 shard sweep cancels its Engine.Run queries mid-shard when the
+// deadline fires and notes the cancellation in its table; experiments
+// after the first are skipped once the deadline has passed. A timed-out
+// run prints what completed and exits 0 — the deadline is an
+// operational bound, not a failure.
 package main
 
 import (
@@ -32,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -41,28 +35,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	expList := fs.String("e", "all", "comma-separated ids (e1..e9 experiments, a1..a4 ablations), all, or ablations")
 	quick := fs.Bool("quick", false, "shrink data sizes for a fast smoke run")
-	shardJSON := fs.String("shardjson", "", "write the shard-scaling baseline (ShardBaseline JSON) to this path")
-	serveJSON := fs.String("servejson", "", "write the serving-layer baseline (ServeBaseline JSON: cache hit-vs-cold, batch-vs-solo) to this path")
-	memJSON := fs.String("memjson", "", "write the scan-bound memory baseline (MemBaseline JSON: columnar vs row-layout ns/op, B/op, allocs/op) to this path")
-	kernelJSON := fs.String("kerneljson", "", "write the per-family scan-kernel baseline (KernelBaseline JSON: columnar vs PR4-reference ns/op, allocs/op, steal speedups) to this path")
-	clusterJSON := fs.String("clusterjson", "", "write the multi-node cluster baseline (ClusterBaseline JSON: scatter-gather ns/req at node counts 1-3 plus the equivalence bit) to this path")
-	persistJSON := fs.String("persistjson", "", "write the durability baseline (PersistBaseline JSON: snapshot write time, cold-start restore Copy vs Map, restore-equivalence bit) to this path")
-	ingestJSON := fs.String("ingestjson", "", "write the live-ingest baseline (IngestBaseline JSON: mixed append+query throughput, appender flush count, delta-equivalence bit) to this path")
-	clusterIngestJSON := fs.String("clusteringestjson", "", "write the replicated cluster-ingest baseline (ClusterIngestBaseline JSON: mixed append+query throughput at node counts 1-3, kill+recover cycle time, fault-cycle equivalence bit) to this path")
-	resyncJSON := fs.String("resyncjson", "", "write the snapshot-resync baseline (ResyncBaseline JSON: log-pruned recovery bytes streamed, wall time, replica-alone equivalence bit) to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this path")
-	timeout := fs.Duration("timeout", 0, "overall deadline; cancels in-flight queries mid-shard and records it in -shardjson (0 = none)")
+	timeout := fs.Duration("timeout", 0, "overall deadline; cancels in-flight E9 queries mid-shard and skips later experiments (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,10 +82,9 @@ func run(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	cfg := experiments.Config{Quick: *quick, Ctx: ctx, Timeout: *timeout}
-	// Validate the -e selection before any benchmark work (including
-	// the -shardjson sweep) so a typo'd id fails fast instead of after
-	// minutes of timing runs.
+	cfg := experiments.Config{Quick: *quick, Ctx: ctx}
+	// Validate the -e selection before any benchmark work so a typo'd
+	// id fails fast instead of after minutes of timing runs.
 	if *expList != "all" && *expList != "ablations" {
 		for _, id := range strings.Split(*expList, ",") {
 			if _, ok := experiments.ByID(strings.TrimSpace(id)); !ok {
@@ -108,61 +92,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	if *shardJSON != "" {
-		if err := experiments.WriteShardBaseline(cfg, *shardJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *shardJSON)
-	}
-	if *serveJSON != "" {
-		if err := experiments.WriteServeBaseline(cfg, *serveJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *serveJSON)
-	}
-	if *memJSON != "" {
-		if err := experiments.WriteMemBaseline(cfg, *memJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *memJSON)
-	}
-	if *kernelJSON != "" {
-		if err := experiments.WriteKernelBaseline(cfg, *kernelJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *kernelJSON)
-	}
-	if *clusterJSON != "" {
-		if err := experiments.WriteClusterBaseline(cfg, *clusterJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *clusterJSON)
-	}
-	if *persistJSON != "" {
-		if err := experiments.WritePersistBaseline(cfg, *persistJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *persistJSON)
-	}
-	if *ingestJSON != "" {
-		if err := experiments.WriteIngestBaseline(cfg, *ingestJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *ingestJSON)
-	}
-	if *clusterIngestJSON != "" {
-		if err := experiments.WriteClusterIngestBaseline(cfg, *clusterIngestJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *clusterIngestJSON)
-	}
-	if *resyncJSON != "" {
-		if err := experiments.WriteResyncBaseline(cfg, *resyncJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *resyncJSON)
-	}
-
 	var tables []experiments.Table
 	var runErr error
 	switch *expList {
@@ -171,14 +100,12 @@ func run(args []string) error {
 	case "ablations":
 		tables, runErr = experiments.Ablations(cfg)
 	default:
-		for _, id := range strings.Split(*expList, ",") {
-			id = strings.TrimSpace(id)
-			runner, ok := experiments.ByID(id)
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (want e1..e9 or a1..a4)", id)
-			}
-			if runErr = ctx.Err(); runErr != nil {
-				break // deadline fired between experiments
+		for i, id := range strings.Split(*expList, ",") {
+			runner, _ := experiments.ByID(strings.TrimSpace(id))
+			if i > 0 {
+				if runErr = ctx.Err(); runErr != nil {
+					break // deadline fired between experiments
+				}
 			}
 			var tbl experiments.Table
 			tbl, runErr = runner(cfg)
@@ -189,13 +116,13 @@ func run(args []string) error {
 		}
 	}
 	for _, t := range tables {
-		printTable(t)
+		printTable(out, t)
 	}
 	if runErr != nil {
 		// A fired deadline is an operational bound the caller asked
 		// for, not a failure: report what completed and exit clean.
 		if ce := ctx.Err(); ce != nil && errors.Is(runErr, ce) {
-			fmt.Printf("timeout %v reached (%v): %d experiment table(s) completed before cancellation\n",
+			fmt.Fprintf(out, "timeout %v reached (%v): %d experiment table(s) completed before cancellation\n",
 				*timeout, ce, len(tables))
 			return nil
 		}
@@ -204,8 +131,8 @@ func run(args []string) error {
 	return nil
 }
 
-func printTable(t experiments.Table) {
-	fmt.Printf("== %s: %s ==\n", t.ID, t.Title)
+func printTable(out io.Writer, t experiments.Table) {
+	fmt.Fprintf(out, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -222,14 +149,14 @@ func printTable(t experiments.Table) {
 		for i, cell := range cells {
 			fmt.Fprintf(&b, "%-*s", widths[i]+2, cell)
 		}
-		fmt.Println(strings.TrimRight(b.String(), " "))
+		fmt.Fprintln(out, strings.TrimRight(b.String(), " "))
 	}
 	printRow(t.Columns)
 	for _, row := range t.Rows {
 		printRow(row)
 	}
 	for _, n := range t.Notes {
-		fmt.Println("  note:", n)
+		fmt.Fprintln(out, "  note:", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }

@@ -176,8 +176,7 @@ func TestKernelScanEquivalence(t *testing.T) {
 }
 
 // BenchmarkKernel compares the specialized kernels against the generic
-// fallback on the dimensions that have unrolled bodies — the artifact
-// speedup benchtab's -kerneljson records at the store level.
+// fallback on the dimensions that have unrolled bodies.
 func BenchmarkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, dim := range []int{2, 4, 8, 16} {

@@ -244,10 +244,12 @@ func TestFingerprintSemantics(t *testing.T) {
 }
 
 // TestCacheDisabled pins Options.CacheEntries < 0: no serving, no
-// counters, results unchanged.
+// counters, results unchanged. Each repeat is a fresh 4-shard
+// execution, so only its schedule-independent stats are pinned.
 func TestCacheDisabled(t *testing.T) {
+	const shards = 4
 	a := buildArchives(t)
-	e := engineWithArchivesOpts(t, Options{Shards: 4, CacheEntries: -1}, a)
+	e := engineWithArchivesOpts(t, Options{Shards: shards, CacheEntries: -1}, a)
 	lm := testLinearModel(t)
 	req := Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 5}
 	ctx := context.Background()
@@ -265,7 +267,7 @@ func TestCacheDisabled(t *testing.T) {
 	if st := e.CacheStats(); st != (qcache.Stats{}) {
 		t.Fatalf("disabled cache counted: %+v", st)
 	}
-	resultsEqual(t, "cacheless repeat", r2, r1)
+	executionsEqual(t, "cacheless repeat", shards, r2, r1)
 }
 
 // TestCacheInvalidationStress is the race suite: concurrent Register +

@@ -17,12 +17,14 @@ import (
 // candidate boundaries.
 
 // TestSeriesShardEventPlaneMatchesClassify: the ingest-time event
-// plane must equal per-query classification for every region.
+// plane must equal per-query classification for every region, and so
+// must the fire-ants score computed over it.
 func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 71, Regions: 37, Days: 120, MeanTempC: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	machine := fsm.FireAnts()
 	ss := newSeriesSet(arch, 4)
 	seen := 0
 	for _, sh := range ss.shards {
@@ -36,6 +38,13 @@ func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 				if got[j] != want[j] {
 					t.Fatalf("region %d day %d: event %d, want %d", reg.Region, j, got[j], want[j])
 				}
+			}
+			gotScore, err := fsm.FlyScore(machine, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantScore, _ := fsm.FlyScore(machine, want); gotScore != wantScore {
+				t.Fatalf("region %d: event-plane FlyScore %v, per-query %v", reg.Region, gotScore, wantScore)
 			}
 			seen++
 		}

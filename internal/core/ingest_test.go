@@ -240,6 +240,131 @@ func TestAppenderCoalesces(t *testing.T) {
 	}
 }
 
+// TestAppenderConcurrentWritersEquivalence pins delta equivalence under
+// the batching appender's real concurrency: 16-row tuple writers plus
+// one series and one wells writer race knowledge queries, and the
+// grown engine must answer all six families bit-identically to one
+// that registered the same rows up front — with live deltas and again
+// after Compact. Concurrent writers commit in scheduler order and tuple
+// IDs are arrival-order row offsets, so the reference registers the
+// tuples in the grown engine's committed order; the committed rows
+// must be exactly the base plus every acked row, as a multiset.
+func TestAppenderConcurrentWritersEquivalence(t *testing.T) {
+	a := buildArchives(t)
+	ctx := context.Background()
+	const shards = 4
+	// Cache off so the post-compaction check re-executes every query.
+	grown := NewEngineWith(Options{Shards: shards, CacheEntries: -1})
+	basePts, baseRegions, baseWells := len(a.pts)*4/5, len(a.arch)*4/5, len(a.wells)*4/5
+	for _, err := range []error{
+		grown.AddTuples("gauss", a.pts[:basePts]),
+		grown.AddScene("hps", a.scene),
+		grown.AddSeries("weather", a.arch[:baseRegions]),
+		grown.AddWells("basin", a.wells[:baseWells]),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const chunk, queriers, queries = 16, 4, 8
+	ap := NewAppender(grown, AppenderOptions{})
+	tail := a.pts[basePts:]
+	var wg sync.WaitGroup
+	// One slot per send: every tuple writer, the two tail writers, and
+	// every query.
+	errs := make(chan error, (len(tail)+chunk-1)/chunk+2+queriers*queries)
+	for lo := 0; lo < len(tail); lo += chunk {
+		rows := tail[lo:min(lo+chunk, len(tail))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- ap.AppendTuples(ctx, "gauss", rows)
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		errs <- ap.AppendSeries(ctx, "weather", a.arch[baseRegions:])
+	}()
+	go func() {
+		defer wg.Done()
+		errs <- ap.AppendWells(ctx, "basin", a.wells[baseWells:])
+	}()
+	for q := 0; q < queriers; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				_, err := grown.Run(ctx, Request{Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10})
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	ap.Close()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	committed := committedTuples(t, grown, "gauss")
+	rowKey := func(r []float64) string { return fmt.Sprint(r) }
+	counts := make(map[string]int, len(a.pts))
+	for _, r := range a.pts {
+		counts[rowKey(r)]++
+	}
+	for _, r := range committed {
+		counts[rowKey(r)]--
+	}
+	for k, c := range counts {
+		if c != 0 {
+			t.Fatalf("committed rows differ from base+acked rows: row %s count off by %d", k, c)
+		}
+	}
+
+	ref := NewEngineWith(Options{Shards: shards})
+	for _, err := range []error{
+		ref.AddTuples("gauss", committed),
+		ref.AddScene("hps", a.scene),
+		ref.AddSeries("weather", a.arch),
+		ref.AddWells("basin", a.wells),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := runSixFamilies(t, ref, a.pm)
+	compareSix(t, "live deltas", runSixFamilies(t, grown, a.pm), want)
+	grown.Compact()
+	compareSix(t, "compacted", runSixFamilies(t, grown, a.pm), want)
+	if err := grown.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// committedTuples returns a tuple dataset's rows in global-ID order:
+// base rows, then every delta segment at its committed offset.
+func committedTuples(t *testing.T, e *Engine, name string) [][]float64 {
+	t.Helper()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	ts := e.tuples[name]
+	rows := make([][]float64, ts.rows)
+	copy(rows, ts.points)
+	for _, d := range ts.deltas {
+		copy(rows[d.offset:], d.points)
+	}
+	for id, r := range rows {
+		if r == nil {
+			t.Fatalf("%s: no committed row at ID %d", name, id)
+		}
+	}
+	return rows
+}
+
 // TestAppenderErrorsAndClose pins the per-caller error contract: a
 // flush against an unknown dataset fails every waiter in that window
 // with the engine's error, and appends after Close are rejected.

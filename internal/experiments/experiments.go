@@ -44,13 +44,10 @@ type Table struct {
 type Config struct {
 	Quick bool
 	// Ctx bounds experiment execution (benchtab's -timeout flag); nil
-	// means context.Background(). The shard sweep honors it per query
-	// and records cancellation in its JSON baseline; the experiment
+	// means context.Background(). The shard sweep (E9) honors it per
+	// query and notes the cancellation in its table; the experiment
 	// driver checks it between experiments.
 	Ctx context.Context
-	// Timeout is the deadline Ctx was built with, recorded in the
-	// shard-sweep JSON artifact for provenance; zero means none.
-	Timeout time.Duration
 }
 
 // ctx returns the configured context, defaulting to Background.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -244,85 +242,26 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestWriteShardBaseline(t *testing.T) {
-	path := t.TempDir() + "/BENCH_shards.json"
-	if err := WriteShardBaseline(Config{Quick: true}, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+// E9 shape: one row per shard count 1/2/4/8, the first being the
+// 1-shard reference every speedup is relative to.
+func TestE9Shape(t *testing.T) {
+	tbl, err := E9(Config{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base ShardBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("got %d shard points, want 4", len(tbl.Rows))
 	}
-	if base.Tuples == 0 || len(base.Points) != 4 {
-		t.Fatalf("malformed baseline: %+v", base)
+	if tbl.Rows[0][0] != "1" || tbl.Rows[0][4] != "1.00x" {
+		t.Fatalf("first row must be the 1-shard reference: %v", tbl.Rows[0])
 	}
-	if base.Points[0].Shards != 1 || base.Points[0].Speedup != 1 {
-		t.Fatalf("first point must be the 1-shard reference: %+v", base.Points[0])
-	}
-	for _, p := range base.Points {
-		if p.QueriesPerSec <= 0 || p.NsPerQuery <= 0 {
-			t.Fatalf("non-positive timing in %+v", p)
+	for _, row := range tbl.Rows {
+		qps, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestWriteIngestBaseline(t *testing.T) {
-	path := t.TempDir() + "/BENCH_ingest.json"
-	if err := WriteIngestBaseline(Config{Quick: true}, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base IngestBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.Tuples == 0 || base.AppendRows == 0 || base.AppendCalls == 0 || base.QueryCalls == 0 {
-		t.Fatalf("malformed baseline: %+v", base)
-	}
-	if base.AppendNs <= 0 {
-		t.Fatalf("non-positive append wall time: %+v", base)
-	}
-	// The CI gate: growing a dataset through appends never changes
-	// answers relative to registering it whole.
-	if !base.ResultsIdentical {
-		t.Fatal("base+delta answers diverged from the rebuilt-from-scratch engine")
-	}
-	// Batching quality: the appender must coalesce, not flush per call.
-	if base.FlushGenerations == 0 || base.FlushGenerations >= uint64(base.AppendCalls) {
-		t.Fatalf("appender did not coalesce: %d flushes for %d calls", base.FlushGenerations, base.AppendCalls)
-	}
-}
-
-func TestWriteClusterBaseline(t *testing.T) {
-	path := t.TempDir() + "/BENCH_cluster.json"
-	if err := WriteClusterBaseline(Config{Quick: true}, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base ClusterBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.Tuples == 0 || base.SingleNsPerReq <= 0 || len(base.Points) != 3 {
-		t.Fatalf("malformed baseline: %+v", base)
-	}
-	// The CI gate: multi-node serving never changes answers.
-	if !base.AllEquivalent {
-		t.Fatalf("cluster results diverged from the single-node reference: %+v", base.Points)
-	}
-	for i, p := range base.Points {
-		if p.Nodes != i+1 || p.NsPerReq <= 0 || p.QPS <= 0 || !p.Equivalent {
-			t.Fatalf("point %d malformed: %+v", i, p)
+		if qps <= 0 || parseInt(t, row[2]) <= 0 {
+			t.Fatalf("non-positive timing in %v", row)
 		}
 	}
 }

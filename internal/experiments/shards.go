@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"modelir/internal/core"
@@ -13,82 +10,34 @@ import (
 	"modelir/internal/synth"
 )
 
-// ShardPoint is one row of the shard-scaling sweep: query throughput of
+// shardPoint is one row of the shard-scaling sweep: query throughput of
 // the sharded tuple engine at a given shard count, on one fixed
 // archive and model.
-type ShardPoint struct {
-	Shards        int     `json:"shards"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	NsPerQuery    float64 `json:"ns_per_query"`
-	// PointsTouched samples the last query's pruning stats. For
+type shardPoint struct {
+	shards        int
+	queriesPerSec float64
+	nsPerQuery    float64
+	// pointsTouched samples the last query's pruning stats. For
 	// shards >= 2 it is scheduling-dependent (how far a shard scans
-	// before the shared bound prunes it varies with interleaving), so
-	// diff the 1-shard row, not this, when tracking pruning across
-	// commits.
-	PointsTouched int `json:"points_touched_sample"`
-	// Speedup is throughput relative to the 1-shard row.
-	Speedup float64 `json:"speedup"`
+	// before the shared bound prunes it varies with interleaving).
+	pointsTouched int
+	// speedup is throughput relative to the 1-shard row.
+	speedup float64
 }
-
-// ShardBaseline is the machine-readable artifact CI archives as
-// BENCH_shards.json so the speedup curve is visible in the perf
-// trajectory across commits. Cancellation behavior is part of the
-// record: when benchtab's -timeout expires mid-sweep, the sweep stops
-// at the query that observed ctx.Err(), Cancelled is set, CancelError
-// names the context error, and Points holds only the shard counts that
-// completed — a timed-out run still produces a valid, honest artifact.
-type ShardBaseline struct {
-	Tuples      int          `json:"tuples"`
-	Dims        int          `json:"dims"`
-	K           int          `json:"k"`
-	GOMAXPROCS  int          `json:"gomaxprocs"`
-	TimeoutMS   int64        `json:"timeout_ms,omitempty"`
-	Cancelled   bool         `json:"cancelled"`
-	CancelError string       `json:"cancel_error,omitempty"`
-	Points      []ShardPoint `json:"points"`
-}
-
-// shardSweep times Engine.Run (LinearQuery) over ShardWorkload at each
-// shard count, memoized per Quick flag so `benchtab -shardjson` and a
-// selected E9 share one run instead of repeating a multi-minute
-// benchmark. Cancelled (timeout-truncated) and failed sweeps are NOT
-// memoized: a later caller in the same process — benchtab's test
-// binary runs several invocations — gets a real sweep, not a stale
-// partial one.
-func shardSweep(cfg Config) (ShardBaseline, error) {
-	i := 0
-	if cfg.Quick {
-		i = 1
-	}
-	sweepMu.Lock()
-	defer sweepMu.Unlock()
-	if c := sweepCache[i]; c != nil {
-		return *c, nil
-	}
-	base, err := runShardSweep(cfg)
-	if err == nil && !base.Cancelled {
-		sweepCache[i] = &base
-	}
-	return base, err
-}
-
-var (
-	sweepMu    sync.Mutex
-	sweepCache [2]*ShardBaseline
-)
 
 // ShardWorkloadSize is the full-scale E9 archive size (quick mode
 // shrinks it); bench_test.go's BenchmarkLinearTopKSharded uses the
-// same constant so the benchmark and BENCH_shards.json stay on one
+// same constant so the benchmark and the E9 table stay on one
 // workload.
 const ShardWorkloadSize = 100_000
 
-// ShardWorkload is the canonical E9 fixture — `BenchmarkLinearTopKSharded`
-// and the CI-archived BENCH_shards.json must measure the same archive
-// and model, so both build it here. 8 dimensions put the Onion index in
-// its weak-pruning regime (direction-sampled layers bound loosely and
-// queries reach the core bucket), making the query scan-bound — the
-// workload shard fan-out exists for.
+// ShardWorkload is the canonical E9 fixture — the E9 table,
+// `BenchmarkLinearTopKSharded` and the columnar scan benchmarks must
+// measure the same archive and model, so all of them build it here.
+// 8 dimensions put the Onion index in its weak-pruning regime
+// (direction-sampled layers bound loosely and queries reach the core
+// bucket), making the query scan-bound — the workload shard fan-out
+// exists for.
 func ShardWorkload(n int) ([][]float64, *linear.Model, error) {
 	pts, err := synth.GaussianTuples(91, n, 8)
 	if err != nil {
@@ -103,86 +52,62 @@ func ShardWorkload(n int) ([][]float64, *linear.Model, error) {
 	return pts, m, nil
 }
 
-func runShardSweep(cfg Config) (ShardBaseline, error) {
+// runShardSweep times Engine.Run (LinearQuery) over ShardWorkload at
+// each shard count. A context error cuts the sweep short: the points
+// that completed are returned together with that error.
+func runShardSweep(cfg Config) ([]shardPoint, error) {
 	n, k, reps := ShardWorkloadSize, 10, 20
 	if cfg.Quick {
 		n, reps = 20_000, 5
 	}
 	ctx := cfg.ctx()
-	base := ShardBaseline{
-		Tuples:     n,
-		K:          k,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		TimeoutMS:  cfg.Timeout.Milliseconds(),
-	}
 	pts, m, err := ShardWorkload(n)
 	if err != nil {
-		return base, err
+		return nil, err
 	}
-	base.Dims = len(pts[0])
-	// recordCancel converts a context error into sweep metadata: the
-	// artifact records that (and why) the sweep was cut short instead
-	// of failing the whole run.
-	recordCancel := func(err error) bool {
-		if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
-			base.Cancelled = true
-			base.CancelError = ce.Error()
-			return true
-		}
-		return false
-	}
+	var points []shardPoint
 	for _, shards := range []int{1, 2, 4, 8} {
 		// Cache disabled: the sweep times execution, not cache serving.
 		e := core.NewEngineWith(core.Options{Shards: shards, CacheEntries: -1})
 		if err := e.AddTuples("t", pts); err != nil {
-			return base, err
+			return points, err
 		}
 		req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: m}, K: k}
 		// Build indexes outside the timed region.
 		if _, err := e.Run(ctx, req); err != nil {
-			if recordCancel(err) {
-				return base, nil
-			}
-			return base, err
+			return points, err
 		}
 		var touched int
 		start := time.Now()
-		cancelled := false
 		for r := 0; r < reps; r++ {
 			res, err := e.Run(ctx, req)
 			if err != nil {
-				if recordCancel(err) {
-					cancelled = true
-					break
-				}
-				return base, err
+				return points, err
 			}
 			st, _ := res.Stats.Detail.(core.LinearTupleStats)
 			touched = st.Indexed.PointsTouched
 		}
-		if cancelled {
-			return base, nil
-		}
 		el := time.Since(start)
-		p := ShardPoint{
-			Shards:        shards,
-			NsPerQuery:    float64(el.Nanoseconds()) / float64(reps),
-			QueriesPerSec: float64(reps) / el.Seconds(),
-			PointsTouched: touched,
+		p := shardPoint{
+			shards:        shards,
+			nsPerQuery:    float64(el.Nanoseconds()) / float64(reps),
+			queriesPerSec: float64(reps) / el.Seconds(),
+			pointsTouched: touched,
+			speedup:       1,
 		}
-		if len(base.Points) > 0 {
-			p.Speedup = p.QueriesPerSec / base.Points[0].QueriesPerSec
-		} else {
-			p.Speedup = 1
+		if len(points) > 0 {
+			p.speedup = p.queriesPerSec / points[0].queriesPerSec
 		}
-		base.Points = append(base.Points, p)
+		points = append(points, p)
 	}
-	return base, nil
+	return points, nil
 }
 
 // E9 measures shard scaling of parallel top-K query execution over the
 // tuple engine (the sharded-engine refactor; not part of the paper's
-// original E1-E8 suite).
+// original E1-E8 suite). A deadline on cfg.Ctx cancels the sweep
+// mid-shard; the table then holds the shard counts that completed and
+// a note recording the cancellation.
 func E9(cfg Config) (Table, error) {
 	t := Table{
 		ID:    "E9",
@@ -191,39 +116,26 @@ func E9(cfg Config) (Table, error) {
 			"shards", "queries/s", "ns/query", "pts touched", "speedup vs 1 shard",
 		},
 	}
-	base, err := shardSweep(cfg)
+	points, err := runShardSweep(cfg)
+	for _, p := range points {
+		t.Rows = append(t.Rows, []string{
+			f("%d", p.shards),
+			f("%.1f", p.queriesPerSec),
+			f("%.0f", p.nsPerQuery),
+			f("%d", p.pointsTouched),
+			f("%.2fx", p.speedup),
+		})
+	}
+	if ce := cfg.ctx().Err(); ce != nil && errors.Is(err, ce) {
+		t.Notes = append(t.Notes,
+			f("sweep cancelled by -timeout (%v); rows above are the shard counts that completed", ce))
+		return t, nil
+	}
 	if err != nil {
 		return t, err
 	}
-	for _, p := range base.Points {
-		t.Rows = append(t.Rows, []string{
-			f("%d", p.Shards),
-			f("%.1f", p.QueriesPerSec),
-			f("%.0f", p.NsPerQuery),
-			f("%d", p.PointsTouched),
-			f("%.2fx", p.Speedup),
-		})
-	}
 	t.Notes = append(t.Notes,
-		f("GOMAXPROCS=%d; shard fan-out buys wall-clock only with multiple cores", base.GOMAXPROCS),
+		f("GOMAXPROCS=%d; shard fan-out buys wall-clock only with multiple cores", runtime.GOMAXPROCS(0)),
 		"results are shard-count invariant (see core's TestShardEquivalenceAllFamilies)")
-	if base.Cancelled {
-		t.Notes = append(t.Notes,
-			f("sweep cancelled by -timeout (%s); rows above are the shard counts that completed", base.CancelError))
-	}
 	return t, nil
-}
-
-// WriteShardBaseline runs the shard sweep and writes the JSON baseline
-// (the BENCH_shards.json artifact produced by `benchtab -shardjson`).
-func WriteShardBaseline(cfg Config, path string) error {
-	base, err := shardSweep(cfg)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -190,6 +190,11 @@ func TestFlyScore(t *testing.T) {
 	if _, err := FlyScore(m, []Event{9}); err == nil {
 		t.Fatal("want error for bad event")
 	}
+	// FlyScore over a precomputed event plane is the fsm family's scan
+	// kernel and must not allocate.
+	if allocs := testing.AllocsPerRun(100, func() { FlyScore(m, early) }); allocs != 0 {
+		t.Fatalf("FlyScore allocates %.1f allocs/op, want 0", allocs)
+	}
 }
 
 func TestDistanceProperties(t *testing.T) {
