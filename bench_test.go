@@ -513,11 +513,11 @@ func BenchmarkE7FSMFlatScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := fsm.FireAnts()
+	req := core.Request{Dataset: "w", Query: core.FSMQuery{Machine: fsm.FireAnts()}, K: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.FSMTopK("w", m, 10, nil); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,11 +528,13 @@ func BenchmarkE7FSMMetadataPruned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := fsm.FireAnts()
+	req := core.Request{
+		Dataset: "w", Query: core.FSMQuery{Machine: fsm.FireAnts(), Prefilter: core.FireAntsPrefilter}, K: 10,
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.FSMTopK("w", m, 10, core.FireAntsPrefilter); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -563,10 +565,13 @@ func benchGeology(b *testing.B, m core.GeologyMethod) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	q := e8Query
+	q.Method = m
+	req := core.Request{Dataset: "basin", Query: q, K: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.GeologyTopK("basin", e8Query, 10, m); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -611,13 +616,14 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 			}
 			// First query builds the per-shard indexes; keep that out
 			// of the timed region.
-			if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
+			req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: d.m}, K: 10}
+			if _, err := e.Run(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
+				if _, err := e.Run(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -628,10 +634,9 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 // ---- Unified Run API overhead vs the direct shard fan-out ----
 
 // BenchmarkRunOverhead pins the cost of the Engine.Run request plumbing
-// (Request validation, ctx checks, stats normalization) against the
-// deprecated per-family entry point on the same engine and workload.
-// The two share the execution path, so CI asserts they stay within
-// noise of each other — the API redesign must not tax the hot path.
+// (Request validation, ctx checks, stats normalization) against the raw
+// shard fan-out it wraps, on the same engine and workload — the API
+// must not tax the hot path.
 func BenchmarkRunOverhead(b *testing.B) {
 	d, err := e9Data()
 	if err != nil {
@@ -641,25 +646,17 @@ func BenchmarkRunOverhead(b *testing.B) {
 	if err := e.AddTuples("t", d.pts); err != nil {
 		b.Fatal(err)
 	}
-	// First query builds the per-shard indexes outside the timed region.
-	if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
-		b.Fatal(err)
-	}
 	ctx := context.Background()
 	req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: d.m}, K: 10}
+	// First query builds the per-shard indexes outside the timed region.
+	if _, err := e.Run(ctx, req); err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("unified-run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := e.Run(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy-wrapper", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -563,3 +563,38 @@ func TestDebugMuxServesPprof(t *testing.T) {
 		t.Fatalf("debug mux serves /stats (status %d); serving and debug surfaces must stay separate", resp.StatusCode)
 	}
 }
+
+// TestRequestBodyLimit pins the body bound on the three POST
+// endpoints: a body past maxBodyBytes is refused with 413 before it is
+// buffered, and a normal-sized body on the same server still succeeds.
+func TestRequestBodyLimit(t *testing.T) {
+	srv := httptest.NewServer(newServer(newEngineBackend(testEngine(t))))
+	defer srv.Close()
+
+	// A syntactically open JSON string longer than the bound: the
+	// decoder must hit the limit, not a syntax error.
+	huge := append([]byte(`{"dataset":"`), bytes.Repeat([]byte("a"), maxBodyBytes+1)...)
+	normal := map[string]any{
+		"/run":    wireRequests()[0],
+		"/batch":  wireBatch{Requests: wireRequests()},
+		"/append": wireAppend{Dataset: "tuples", Tuples: [][]float64{{0.1, 0.2, 0.3}}},
+	}
+	for _, path := range []string{"/run", "/batch", "/append"} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s oversized: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s oversized body: status %d, want 413", path, resp.StatusCode)
+		}
+
+		resp = postJSON(t, srv, path, normal[path])
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s normal body: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+}

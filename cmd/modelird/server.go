@@ -617,6 +617,22 @@ func writeErr(w http.ResponseWriter, err error, v any) {
 	writeJSON(w, status, v)
 }
 
+// maxBodyBytes bounds a /run, /batch or /append request body, below
+// the cluster wire's 64 MiB frame cap.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it also returns the status to answer with: 413 for an
+// oversized body, 400 for malformed JSON.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 // handleAppend grows a registered dataset under traffic: rows enter a
 // delta segment via the shared batching appender and are queryable the
 // moment the response is written.
@@ -629,8 +645,8 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wa wireAppend
-	if err := json.NewDecoder(r.Body).Decode(&wa); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireAppendResponse{Error: "bad append JSON: " + err.Error()})
+	if status, err := decodeBody(w, r, &wa); err != nil {
+		writeJSON(w, status, wireAppendResponse{Error: "bad append JSON: " + err.Error()})
 		return
 	}
 	resp, err := s.backend.appendRows(r.Context(), wa)
@@ -653,8 +669,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wr wireRequest
-	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireResult{Error: "bad request JSON: " + err.Error()})
+	if status, err := decodeBody(w, r, &wr); err != nil {
+		writeJSON(w, status, wireResult{Error: "bad request JSON: " + err.Error()})
 		return
 	}
 	req, err := compileRequest(wr)
@@ -693,8 +709,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wb wireBatch
-	if err := json.NewDecoder(r.Body).Decode(&wb); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireResult{Error: "bad batch JSON: " + err.Error()})
+	if status, err := decodeBody(w, r, &wb); err != nil {
+		writeJSON(w, status, wireResult{Error: "bad batch JSON: " + err.Error()})
 		return
 	}
 	reqs := make([]modelir.Request, len(wb.Requests))

@@ -6,11 +6,13 @@
 // every replica, requiring an ack from each. A replica that fails its
 // ack after bounded retries with exponential backoff + jitter — or that
 // was already unreachable when the batch landed — is quarantined as
-// stale: it is missing the batch, so it must not serve reads until the
-// catch-up exchange (catchup.go) replays its misses from the per-
-// partition append log kept here. The log is pruned to the lowest
-// sequence number every replica has acked, so a quarantined replica
-// pins exactly the batches it still needs.
+// stale: it is missing the batch, so it must not serve reads until
+// catch-up (catchup.go) repairs it partition by partition, replaying
+// its misses from the per-partition append log kept here. The log is
+// pruned to the lowest sequence number every replica has acked, so a
+// quarantined replica pins exactly the batches it still needs — unless
+// the log cap forces records out, in which case the repair starts from
+// a donor replica's snapshot instead of the replica's own cursor.
 //
 // Write-all rather than quorum: reads are served by a single replica
 // of each partition (scatter-gather picks one), so correctness needs
@@ -313,8 +315,9 @@ func (pa *partIngestState) prune() {
 // acked are droppable — an acked record's rows live in that replica's
 // engine state, so a snapshot resync can still repair whoever missed
 // it; a record no replica holds is never dropped, whatever the cap.
-// Returns the number of records dropped (each one forces a lagging
-// replica down the resync path instead of log replay). Must hold pa.mu.
+// Returns the number of records dropped (each one makes a lagging
+// replica's repair start from a donor snapshot instead of its own
+// cursor). Must hold pa.mu.
 func (pa *partIngestState) enforceCap(limit int64) int {
 	if limit <= 0 || len(pa.log) == 0 {
 		return 0
@@ -369,48 +372,46 @@ func (r *Router) sendAppend(ctx context.Context, addr string, seq uint64, payloa
 		addr, r.opt.AppendAttempts, lastErr)
 }
 
-// appendOnce is one delivery attempt. transport reports whether the
-// failure was connection-level (retryable) rather than node-reported.
-func (r *Router) appendOnce(ctx context.Context, addr string, seq uint64, payload []byte) (_ appendAck, err error, transport bool) {
-	d := net.Dialer{Timeout: r.opt.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return appendAck{}, ctx.Err(), false
-		}
-		return appendAck{}, err, true
+// appendOnce is one delivery attempt on a fresh connection. transport
+// reports whether the failure was connection-level (retryable) rather
+// than node-reported.
+func (r *Router) appendOnce(ctx context.Context, addr string, seq uint64, payload []byte) (ack appendAck, err error, transport bool) {
+	conn, err := r.dialIngest(ctx, addr)
+	if err == nil {
+		defer conn.Close()
+		ack, err, transport = sendBatch(conn, addr, seq, payload)
+	} else {
+		transport = true
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+	if transport && ctx.Err() != nil {
+		return appendAck{}, ctx.Err(), false
+	}
+	return ack, err, transport
+}
+
+// sendBatch runs one 'A'→'K' exchange on conn: deliver the sequenced
+// batch and check the ack names it. Shared by the append fan-out and
+// catch-up replay. transport reports a connection-level failure as
+// opposed to a node-reported one.
+func sendBatch(conn net.Conn, addr string, seq uint64, payload []byte) (_ appendAck, err error, transport bool) {
 	if err := writeFrame(conn, frameAppend, payload); err != nil {
 		return appendAck{}, err, true
 	}
 	typ, reply, err := readFrame(conn)
 	if err != nil {
-		if ctx.Err() != nil {
-			return appendAck{}, ctx.Err(), false
-		}
 		return appendAck{}, err, true
 	}
-	switch typ {
-	case frameAppendAck:
-		ack, err := decodeAppendAck(reply)
-		if err != nil {
-			return appendAck{}, err, false
-		}
-		if ack.Seq != seq {
-			return appendAck{}, fmt.Errorf("%w: ack for seq %d, want %d", ErrFrame, ack.Seq, seq), false
-		}
-		return ack, nil, false
-	case frameError:
-		code, msg, derr := decodeError(reply)
-		if derr != nil {
-			return appendAck{}, derr, false
-		}
-		return appendAck{}, &RemoteError{Addr: addr, Code: code, Msg: msg}, false
-	default:
-		return appendAck{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ), false
+	if typ != frameAppendAck {
+		return appendAck{}, replyError(addr, typ, reply), false
 	}
+	ack, err := decodeAppendAck(reply)
+	if err != nil {
+		return appendAck{}, err, false
+	}
+	if ack.Seq != seq {
+		return appendAck{}, fmt.Errorf("%w: ack for seq %d, want %d", ErrFrame, ack.Seq, seq), false
+	}
+	return ack, nil, false
 }
 
 // ensureIngest returns the dataset's write-side state, syncing it from
@@ -497,7 +498,7 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 			if rep.lastSeq < best.lastSeq {
 				// Provably behind this router's log start: quarantine.
 				// Catch-up replays the gap if the log still covers it and
-				// escalates to snapshot resync if not (see catchup.go).
+				// installs a donor snapshot first if not (see catchup.go).
 				r.health.missedAppend(addr)
 			}
 		}

@@ -1,20 +1,21 @@
 // Catch-up: the road out of quarantine. A stale replica missed one or
 // more append batches; because every partition's appends carry
 // monotone sequence numbers and the router keeps each unacked batch's
-// encoded frame in its per-partition log, the repair is exact — ask the
-// replica for its cursor ('U'), replay precisely the logged batches
-// above it ('A', acked one by one), and the node's idempotent cursor
-// makes re-replaying an already-applied batch a no-op. Only when every
-// partition the replica owns is provably current — and no new batch was
-// missed while verifying (the quarantine generation) — does the health
-// tracker re-admit it.
+// encoded frame in its per-partition log, the repair is exact and runs
+// one partition at a time (repairPart) under that partition's lock:
 //
-// If the log no longer covers the replica's gap (the records were
-// pruned, or the log cap forced them out), replay alone cannot repair
-// it: CatchUp escalates to the snapshot resync path (resync.go), which
-// streams the owed partitions whole from a healthy donor and then
-// replays the remaining log tail. The replica always converges without
-// operator action as long as one healthy donor replica exists.
+//	'U' ask the replica for its cursor
+//	    ├─ log covers the gap ── cut = replica cursor
+//	    └─ gap pruned ────────── cut = donor cursor, after the donor
+//	                             streams the partition in (resync.go)
+//	'A' replay every logged batch above the cut, acked one by one
+//
+// The node's idempotent cursor makes re-replaying an already-applied
+// batch a no-op. Only when every partition the replica owns is provably
+// current — and no new batch was missed while verifying (the quarantine
+// generation) — does the health tracker re-admit it. The replica always
+// converges without operator action as long as one healthy donor
+// replica exists.
 //
 // The same exchange doubles as the router's crash recovery: a replica
 // whose cursor is *ahead* of the router's (the router restarted and
@@ -26,14 +27,14 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 )
 
-// catchUpPasses bounds CatchUp's verify loop: each pass replays or
-// resyncs every owed partition, and a pass that ends with the
+// catchUpPasses bounds CatchUp's verify loop: each pass repairs every
+// partition the replica owns, and a pass that ends with the
 // quarantine generation unchanged lifts the quarantine. More passes
 // are only needed when appends keep landing mid-verification.
 const catchUpPasses = 5
@@ -105,25 +106,16 @@ func seqStateOn(conn net.Conn, dataset string) ([]SeqEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch typ {
-	case frameSeqState:
-		return decodeSeqState(payload)
-	case frameError:
-		code, msg, derr := decodeError(payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, &RemoteError{Addr: conn.RemoteAddr().String(), Code: code, Msg: msg}
-	default:
-		return nil, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ)
+	if typ != frameSeqState {
+		return nil, replyError(conn.RemoteAddr().String(), typ, payload)
 	}
+	return decodeSeqState(payload)
 }
 
 // CatchUp brings addr current on every partition it owns and, if the
 // quarantine generation did not move while verifying, re-admits it.
-// Partitions whose log no longer covers the replica's gap escalate to
-// snapshot resync. Safe to call on a healthy replica (the replay set is
-// empty) and idempotent on a stale one.
+// Safe to call on a healthy replica (nothing is replayed) and
+// idempotent on a stale one.
 func (r *Router) CatchUp(ctx context.Context, addr string) error {
 	for pass := 0; pass < catchUpPasses; pass++ {
 		gen := r.health.quarantineGen(addr)
@@ -134,7 +126,6 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 		}
 		r.ing.mu.Unlock()
 
-		var owed []owedPart
 		for name, ds := range sets {
 			ds.mu.Lock()
 			synced := ds.synced
@@ -145,27 +136,14 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 			}
 			var high int64
 			for _, pa := range parts {
-				owns := false
-				for _, n := range pa.nodes {
-					if n == addr {
-						owns = true
-						break
-					}
-				}
-				if !owns {
+				if !slices.Contains(pa.nodes, addr) {
 					continue
 				}
-				res, err := r.catchUpPart(ctx, addr, name, pa)
-				if errors.Is(err, ErrLogPruned) {
-					owed = append(owed, owedPart{dataset: name, pa: pa})
-					continue
-				}
+				watermark, err := r.repairPart(ctx, addr, name, pa)
 				if err != nil {
 					return err
 				}
-				if res.watermark > high {
-					high = res.watermark
-				}
+				high = max(high, watermark)
 			}
 			// Ratchet the global tuple row counter to the highest
 			// watermark any owned partition reported: after a router
@@ -174,18 +152,8 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 			// IDs. (Outside pa.mu — AppendSeqs nests ds.mu→pa.mu, never
 			// the reverse.)
 			ds.mu.Lock()
-			if high > ds.rows {
-				ds.rows = high
-			}
+			ds.rows = max(ds.rows, high)
 			ds.mu.Unlock()
-		}
-
-		if len(owed) > 0 {
-			r.health.startResync(addr)
-			if err := r.resyncPeer(ctx, addr, owed); err != nil {
-				return err
-			}
-			continue // verify the repair with a fresh pass
 		}
 		if r.health.caughtUp(addr, gen) {
 			return nil
@@ -195,116 +163,77 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 	return fmt.Errorf("cluster: %s still behind after %d catch-up passes", addr, catchUpPasses)
 }
 
-// catchUpResult reports one partition's catch-up outcome.
-type catchUpResult struct {
-	replayed  int
-	watermark int64
-}
-
-// catchUpPart brings addr current on one partition. It holds the
-// partition lock across the replay so no new batch can interleave;
-// appends to other partitions proceed. A pruned gap returns
-// ErrLogPruned for the caller to escalate.
-func (r *Router) catchUpPart(ctx context.Context, addr, dataset string, pa *partIngestState) (catchUpResult, error) {
+// repairPart brings addr current on one partition and reports the row
+// watermark the replica held when asked. It holds the partition lock
+// throughout, so no new batch can interleave; appends to other
+// partitions proceed. The cut — the sequence number the replica is
+// known to hold — is its own cursor when the log still covers the gap,
+// and otherwise the cursor of a donor snapshot installed over the same
+// connection (installFromDonor). Either way the logged batches above
+// the cut are then replayed, acked one by one.
+func (r *Router) repairPart(ctx context.Context, addr, dataset string, pa *partIngestState) (int64, error) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
 
 	conn, err := r.dialIngest(ctx, addr)
 	if err != nil {
 		r.health.fault(addr)
-		return catchUpResult{}, err
+		return 0, err
 	}
 	defer conn.Close()
-
 	entries, err := seqStateOn(conn, dataset)
 	if err != nil {
 		r.health.fault(addr)
-		return catchUpResult{}, err
+		return 0, err
 	}
-	var lastSeq uint64
+	var cut uint64
 	var watermark int64
 	for _, e := range entries {
 		if e.Dataset == dataset && e.Part == pa.part {
-			lastSeq, watermark = e.LastSeq, e.Watermark
+			cut, watermark = e.LastSeq, e.Watermark
 			break
 		}
 	}
 	want := pa.nextSeq - 1
-	if lastSeq >= want {
-		if lastSeq > want {
-			// The replica is ahead of this router: batches sequenced by a
-			// previous router incarnation landed here while this one was
-			// syncing. Adopt its cursor so new appends continue above it.
-			pa.nextSeq = lastSeq + 1
+	if cut < want && (len(pa.log) == 0 || pa.log[0].seq > cut+1) {
+		// The missed batches were pruned from the log: only a snapshot
+		// transfer can repair this replica.
+		r.health.startResync(addr)
+		if cut, err = r.installFromDonor(ctx, conn, addr, dataset, pa); err != nil {
+			r.stats.failures.Add(1)
+			return 0, fmt.Errorf("cluster: resync %s: %w", addr, err)
 		}
-		pa.acked[addr] = lastSeq
-		pa.prune()
-		return catchUpResult{watermark: watermark}, nil
 	}
-	if len(pa.log) == 0 || pa.log[0].seq > lastSeq+1 {
-		first := pa.nextSeq
-		if len(pa.log) > 0 {
-			first = pa.log[0].seq
-		}
-		return catchUpResult{}, fmt.Errorf("%w: %s needs %q part %d seq %d, log starts at %d",
-			ErrLogPruned, addr, dataset, pa.part, lastSeq+1, first)
+	if cut > want {
+		// The replica is ahead of this router: batches sequenced by a
+		// previous router incarnation landed here while this one was
+		// syncing. Adopt its cursor so new appends continue above it.
+		pa.nextSeq = cut + 1
+		want = cut
 	}
-	replayed, err := r.replayLog(ctx, conn, addr, pa, lastSeq)
-	if err != nil {
-		return catchUpResult{}, err
-	}
-	pa.acked[addr] = want
-	pa.prune()
-	return catchUpResult{replayed: replayed, watermark: watermark}, nil
-}
-
-// replayLog replays every logged batch above fromSeq to addr on conn,
-// acked one by one. Caller holds pa.mu. Shared by log catch-up and the
-// post-install tail replay of a snapshot resync.
-func (r *Router) replayLog(ctx context.Context, conn net.Conn, addr string, pa *partIngestState, fromSeq uint64) (int, error) {
-	replayed := 0
 	for _, rec := range pa.log {
-		if rec.seq <= fromSeq {
+		if rec.seq <= cut {
 			continue
 		}
 		// Refresh the deadline per batch so a long replay doesn't trip
 		// the ack timeout.
 		_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		if err := writeFrame(conn, frameAppend, rec.payload); err != nil {
-			r.health.fault(addr)
-			return replayed, err
-		}
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			r.health.fault(addr)
-			return replayed, err
-		}
-		switch typ {
-		case frameAppendAck:
-			ack, err := decodeAppendAck(payload)
-			if err != nil {
-				return replayed, err
+		if _, err, transport := sendBatch(conn, addr, rec.seq, rec.payload); err != nil {
+			if transport {
+				r.health.fault(addr)
 			}
-			if ack.Seq != rec.seq {
-				return replayed, fmt.Errorf("%w: replay ack for seq %d, want %d", ErrFrame, ack.Seq, rec.seq)
-			}
-		case frameError:
-			code, msg, derr := decodeError(payload)
-			if derr != nil {
-				return replayed, derr
-			}
-			return replayed, &RemoteError{Addr: addr, Code: code, Msg: msg}
-		default:
-			return replayed, fmt.Errorf("%w: unexpected frame %q during replay", ErrFrame, typ)
+			return 0, err
 		}
-		replayed++
+		r.stats.replayed.Add(1)
 	}
-	return replayed, nil
+	pa.acked[addr] = want
+	pa.prune()
+	return watermark, nil
 }
 
 // Reconcile runs one health pass over every topology peer: probe each,
 // and walk any reachable quarantined replica through catch-up (which
-// escalates to snapshot resync when the log no longer covers its gap).
+// installs a donor snapshot where the log no longer covers its gap).
 // A catch-up failure keeps the replica quarantined, counts in
 // ResyncStats, and records the error against the peer for /stats. It
 // returns the post-pass health map.

@@ -10,20 +10,21 @@
 //	   │                         ▼
 //	   ├──── catch-up done ──── Stale ◀── missed/failed append (any state)
 //	   │                         │
-//	   │                         │ missed batches pruned from the log
+//	   │                         │ a partition's missed batches were
+//	   │                         │ pruned from the log
 //	   │                         ▼
-//	   └──── resync + replay ── Resyncing
+//	   └──── catch-up done ─── Resyncing
 //
 // Healthy and Suspect replicas serve reads and receive appends. Down
 // replicas are skipped on both paths until a probe reaches them again.
 // Stale is the quarantine state: the replica missed at least one
 // append, so serving a read from it could return a wrong (partial)
 // answer — it is excluded from read failover and from append fan-out
-// (it would only see sequence gaps) until the catch-up exchange
-// (catchup.go) replays its missed batches. Resyncing is the deeper
-// quarantine: the missed batches outlived the router's append log, so
-// log replay alone cannot repair it and a snapshot transfer from a
-// healthy donor (resync.go) is in flight or pending. Both quarantine
+// (it would only see sequence gaps) until catch-up (catchup.go)
+// repairs every partition it owns. Resyncing is the same quarantine,
+// marked when some partition's missed batches outlived the router's
+// append log, so its repair starts from a healthy donor's snapshot
+// (resync.go) instead of the replica's own cursor. Both quarantine
 // states win over every reachability transition — a probe reaching a
 // quarantined replica proves liveness, not consistency — and both are
 // lifted only by caughtUp, which additionally checks the peer's
@@ -51,11 +52,11 @@ const (
 	// probe succeeds. A Down peer that misses an append becomes Stale.
 	Down
 	// Stale peers missed an append and are quarantined from reads and
-	// appends until catch-up replays their missed batches.
+	// appends until catch-up repairs them.
 	Stale
 	// Resyncing peers missed batches that were pruned from the append
-	// log: log replay cannot repair them, so a snapshot resync from a
-	// healthy donor is pending or in flight. Quarantined like Stale.
+	// log: their repair installs a healthy donor's snapshot of the
+	// partition before replaying the log. Quarantined like Stale.
 	Resyncing
 )
 
@@ -183,7 +184,8 @@ func (h *healthTracker) ok(addr string) {
 // is now missing at least one batch and must not serve reads. The
 // quarantine generation advances so a catch-up pass racing this miss
 // cannot lift the quarantine. A peer already in Resyncing stays there
-// (resync ends with a log replay that covers batches missed meanwhile).
+// (its repair ends with a log replay that covers batches missed
+// meanwhile).
 func (h *healthTracker) missedAppend(addr string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -194,8 +196,9 @@ func (h *healthTracker) missedAppend(addr string) {
 	}
 }
 
-// startResync escalates addr's quarantine: its missed batches outlived
-// the append log, so only a snapshot transfer can repair it.
+// startResync marks addr's quarantine as Resyncing: some partition's
+// missed batches outlived the append log, so its repair needs a donor
+// snapshot.
 func (h *healthTracker) startResync(addr string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

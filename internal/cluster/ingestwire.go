@@ -120,12 +120,9 @@ func encodeAppend(b AppendBatch) ([]byte, error) {
 func decodeAppend(payload []byte) (AppendBatch, error) {
 	var b AppendBatch
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	err := readVersion(r)
 	if err != nil {
 		return b, err
-	}
-	if v != wireVersion {
-		return b, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	if b.Dataset, err = r.String(); err != nil {
 		return b, err
@@ -280,12 +277,9 @@ func encodeAppendAck(a appendAck) []byte {
 func decodeAppendAck(payload []byte) (appendAck, error) {
 	var a appendAck
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	err := readVersion(r)
 	if err != nil {
 		return a, err
-	}
-	if v != wireVersion {
-		return a, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	if a.Seq, err = r.Uint(); err != nil {
 		return a, err
@@ -304,10 +298,7 @@ func decodeAppendAck(payload []byte) (appendAck, error) {
 	if a.Gen, err = r.Uint(); err != nil {
 		return a, err
 	}
-	if r.Remaining() != 0 {
-		return a, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return a, nil
+	return a, checkDrained(r)
 }
 
 // SeqEntry is one partition's append cursor in a 'U' report: the last
@@ -335,21 +326,14 @@ func encodeSeqStateReq(dataset string) []byte {
 
 func decodeSeqStateReq(payload []byte) (string, error) {
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
-	if err != nil {
+	if err := readVersion(r); err != nil {
 		return "", err
-	}
-	if v != wireVersion {
-		return "", fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	ds, err := r.String()
 	if err != nil {
 		return "", err
 	}
-	if r.Remaining() != 0 {
-		return "", fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return ds, nil
+	return ds, checkDrained(r)
 }
 
 func encodeSeqState(entries []SeqEntry) []byte {
@@ -367,12 +351,8 @@ func encodeSeqState(entries []SeqEntry) []byte {
 
 func decodeSeqState(payload []byte) ([]SeqEntry, error) {
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
-	if err != nil {
+	if err := readVersion(r); err != nil {
 		return nil, err
-	}
-	if v != wireVersion {
-		return nil, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	// An entry is at least a name length plus four fixed ints.
 	n, err := r.Count(40)
@@ -412,8 +392,5 @@ func decodeSeqState(payload []byte) ([]SeqEntry, error) {
 		}
 		out[i].Kind = DataKind(kind)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return out, nil
+	return out, checkDrained(r)
 }

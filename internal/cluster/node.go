@@ -292,11 +292,18 @@ func errorCode(err error) string {
 	}
 }
 
+// refuse counts a failed request and reports it to the peer as an 'E'
+// frame.
+func (n *Node) refuse(c net.Conn, code string, err error) {
+	n.failed.Add(1)
+	writeFrame(c, frameError, encodeError(code, err.Error()))
+}
+
 // handle dispatches one connection on its first frame: a 'Q' starts a
 // query session (one query per connection), while 'A'/'H'/'U'/'S'/'I'
 // start an ingest session (a loop of appends, probes, seq-state
-// exchanges, and snapshot-resync transfers — the router's append,
-// catch-up, and resync paths reuse one connection for many frames).
+// exchanges, and snapshot-resync transfers — a catch-up repair runs its
+// 'U', install, and replay frames on one connection).
 func (n *Node) handle(c net.Conn) {
 	typ, payload, err := readFrame(c)
 	if err != nil {
@@ -317,8 +324,7 @@ func (n *Node) handle(c net.Conn) {
 func (n *Node) handleQuery(c net.Conn, payload []byte) {
 	q, err := decodeQuery(payload)
 	if err != nil {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-query", err.Error()))
+		n.refuse(c, "bad-query", err)
 		return
 	}
 
@@ -326,9 +332,7 @@ func (n *Node) handleQuery(c net.Conn, payload []byte) {
 	entry, ok := n.parts[q.Dataset][q.Part]
 	n.mu.Unlock()
 	if !ok {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("unknown-dataset",
-			fmt.Sprintf("dataset %q part %d not on this node", q.Dataset, q.Part)))
+		n.refuse(c, "unknown-dataset", fmt.Errorf("dataset %q part %d not on this node", q.Dataset, q.Part))
 		return
 	}
 	if entry.local == "" {

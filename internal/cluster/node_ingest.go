@@ -222,8 +222,7 @@ func (n *Node) handleIngest(c net.Conn, typ byte, payload []byte) {
 		case frameSeqState:
 			ds, err := decodeSeqStateReq(payload)
 			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-seq-state", err.Error()))
+				n.refuse(c, "bad-seq-state", err)
 				return
 			}
 			if writeFrame(c, frameSeqState, encodeSeqState(n.seqState(ds))) != nil {
@@ -232,8 +231,7 @@ func (n *Node) handleIngest(c net.Conn, typ byte, payload []byte) {
 		case frameAppend:
 			b, err := decodeAppend(payload)
 			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-append", err.Error()))
+				n.refuse(c, "bad-append", err)
 				return
 			}
 			// The fault-injection hook runs with the batch decoded but
@@ -243,8 +241,7 @@ func (n *Node) handleIngest(c net.Conn, typ byte, payload []byte) {
 			}
 			dup, gen, err := n.AppendRows(context.Background(), b)
 			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError(appendErrorCode(err), err.Error()))
+				n.refuse(c, appendErrorCode(err), err)
 				return
 			}
 			if writeFrame(c, frameAppendAck, encodeAppendAck(appendAck{Seq: b.Seq, Dup: dup, Gen: gen})) != nil {
@@ -252,21 +249,19 @@ func (n *Node) handleIngest(c net.Conn, typ byte, payload []byte) {
 			}
 		case frameResyncReq:
 			// Donor role: stream a consistent snapshot of the requested
-			// partitions and report their cursors. One transfer per
-			// session; the router closes the connection after 'Y'.
+			// partition and report its cursor. One transfer per session;
+			// the router closes the connection after 'Y'.
 			n.serveResync(c, payload)
 			return
 		case frameInstall:
 			// Receiver role: accumulate 'D' chunks, install on 'J', ack
 			// with 'Y'. The session then continues — the router replays
-			// the remaining log tail as ordinary 'A' frames.
+			// the log tail above the donor's cut as ordinary 'A' frames.
 			if !n.handleInstall(c, payload) {
 				return
 			}
 		default:
-			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-frame",
-				fmt.Sprintf("unexpected frame %q in ingest session", typ)))
+			n.refuse(c, "bad-frame", fmt.Errorf("unexpected frame %q in ingest session", typ))
 			return
 		}
 		var err error

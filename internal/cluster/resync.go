@@ -1,39 +1,39 @@
-// Snapshot anti-entropy: the escalation path when catch-up finds that
-// a replica's missed batches were pruned from the append log. Log
-// replay cannot repair such a replica, so the router streams it a full
-// consistent snapshot of exactly the partitions it owes, taken from a
-// healthy donor replica, then replays the remaining log tail — all
-// under the partition locks, so the donor cut, the install, and the
+// Snapshot install: how catch-up repairs a replica whose missed
+// batches were pruned from the append log. Log replay cannot reach
+// such a replica, so for each partition it owes, the router streams it
+// that one partition whole from a healthy donor replica; the repair
+// then replays the log tail above the donor's cut (catchup.go), all
+// under the partition lock, so the donor cut, the install, and the
 // replay form one linearizable repair.
 //
-// Five frame types extend the ingest protocol:
+// Five frame types extend the ingest protocol; each transfer moves
+// exactly one partition, so 'S', 'I', 'Y' and 'J' carry one entry:
 //
-//	'S' resync-request router → donor: the (dataset, part) list to
-//	                   snapshot; the donor locks those partitions'
-//	                   cursors and streams the snapshot
+//	'S' resync-request router → donor: the (dataset, part) to
+//	                   snapshot; the donor locks that partition's
+//	                   cursor and streams the snapshot
 //	'D' chunk          donor → router → stale: one piece of one
 //	                   snapshot file (name + bytes, ≤256 KiB); the
 //	                   router forwards frames verbatim, never
 //	                   materializing the snapshot
-//	'Y' resync-state   donor → router: per-partition cursors captured
+//	'Y' resync-state   donor → router: the partition's cursor captured
 //	                   at the cut, after the last chunk; also the
-//	                   stale replica's install ack (echoed cursors)
+//	                   stale replica's install ack (echoed cursor)
 //	'I' install        router → stale: begin receiving a snapshot for
-//	                   the listed partitions
+//	                   the named partition
 //	'J' install-commit router → stale: all chunks forwarded; install
-//	                   under these cursors
+//	                   under this cursor
 //
 // Integrity: the chunks reassemble internal/segment's checksummed
 // section format, and the receiver installs in Copy mode, which
 // verifies every section's SHA-256 as it decodes — a corrupted or
 // truncated transfer fails the install, the replica stays quarantined,
 // and the next reconcile pass retries. Consistency: the router holds
-// every owed partition's lock for the whole transfer (no new batch can
-// be sequenced for them) and the donor holds its local cursor locks
-// across the engine snapshot, so the streamed state corresponds
-// exactly to the reported cursors. Donor selection is placement order:
-// the first servable replica of each owed partition; partitions that
-// share a donor transfer in one session.
+// the partition's lock for the whole repair (no new batch can be
+// sequenced for it) and the donor holds its local cursor lock across
+// the engine snapshot, so the streamed state corresponds exactly to
+// the reported cursor. Donor selection is placement order: the first
+// servable other replica of the partition.
 
 package cluster
 
@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync/atomic"
 
 	"modelir/internal/canon"
@@ -53,144 +52,100 @@ import (
 // Resync frame types (ingest frames are in ingestwire.go, query frames
 // in wire.go).
 const (
-	frameResyncReq   = 'S' // router → donor: partitions to snapshot
+	frameResyncReq   = 'S' // router → donor: partition to snapshot
 	frameResyncChunk = 'D' // donor → router → stale: one snapshot-file chunk
-	frameResyncState = 'Y' // donor → router: cursors at the cut; stale → router: install ack
+	frameResyncState = 'Y' // donor → router: cursor at the cut; stale → router: install ack
 	frameInstall     = 'I' // router → stale: begin snapshot install
-	frameInstallDone = 'J' // router → stale: chunks done, commit under these cursors
+	frameInstallDone = 'J' // router → stale: chunks done, commit under this cursor
 )
 
 // resyncChunkSize bounds one 'D' frame's data payload.
 const resyncChunkSize = 256 << 10
 
-// ErrLogPruned reports that a replica's missed batches are no longer
-// in the append log — catch-up replay cannot repair it and the
-// snapshot resync path must run instead.
-var ErrLogPruned = errors.New("cluster: append log pruned past replica cursor")
-
-// partRef names one partition in an 'S'/'I' request.
+// partRef names the partition in an 'S'/'I' request.
 type partRef struct {
 	Dataset string
 	Part    int
 }
 
-func encodePartRefs(refs []partRef) []byte {
+func encodePartRef(ref partRef) []byte {
 	b := []byte{wireVersion}
-	b = canon.AppendUint(b, uint64(len(refs)))
-	for _, ref := range refs {
-		b = canon.AppendString(b, ref.Dataset)
-		b = canon.AppendUint(b, uint64(ref.Part))
-	}
-	return b
+	b = canon.AppendString(b, ref.Dataset)
+	return canon.AppendUint(b, uint64(ref.Part))
 }
 
-func decodePartRefs(payload []byte) ([]partRef, error) {
+// readPartRef decodes a (dataset, part) pair.
+func readPartRef(r *canon.Reader) (partRef, error) {
+	var ref partRef
+	var err error
+	if ref.Dataset, err = r.String(); err != nil {
+		return partRef{}, err
+	}
+	part, err := r.Uint()
+	if err != nil {
+		return partRef{}, err
+	}
+	if part > 1<<31 {
+		return partRef{}, canon.ErrCorrupt
+	}
+	ref.Part = int(part)
+	return ref, nil
+}
+
+func decodePartRef(payload []byte) (partRef, error) {
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	if err := readVersion(r); err != nil {
+		return partRef{}, err
+	}
+	ref, err := readPartRef(r)
 	if err != nil {
-		return nil, err
+		return partRef{}, err
 	}
-	if v != wireVersion {
-		return nil, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
-	}
-	// A ref is at least a name length plus a part number.
-	n, err := r.Count(16)
-	if err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("%w: empty resync request", canon.ErrCorrupt)
-	}
-	out := make([]partRef, n)
-	for i := range out {
-		if out[i].Dataset, err = r.String(); err != nil {
-			return nil, err
-		}
-		part, err := r.Uint()
-		if err != nil {
-			return nil, err
-		}
-		if part > 1<<31 {
-			return nil, canon.ErrCorrupt
-		}
-		out[i].Part = int(part)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return out, nil
+	return ref, checkDrained(r)
 }
 
-// resyncEntry is one partition's cursor record in a 'Y'/'J' payload:
+// resyncEntry is the partition's cursor record in a 'Y'/'J' payload:
 // the engine-local dataset backing it ("" for an empty partition), the
 // tuple ID offset, and the last applied sequence number at the cut.
 type resyncEntry struct {
-	Dataset string
-	Part    int
+	partRef
 	Local   string
 	Offset  int64
 	LastSeq uint64
 }
 
-func encodeResyncEntries(entries []resyncEntry) []byte {
-	b := []byte{wireVersion}
-	b = canon.AppendUint(b, uint64(len(entries)))
-	for _, e := range entries {
-		b = canon.AppendString(b, e.Dataset)
-		b = canon.AppendUint(b, uint64(e.Part))
-		b = canon.AppendString(b, e.Local)
-		b = canon.AppendUint(b, uint64(e.Offset))
-		b = canon.AppendUint(b, e.LastSeq)
-	}
-	return b
+func encodeResyncEntry(e resyncEntry) []byte {
+	b := encodePartRef(e.partRef)
+	b = canon.AppendString(b, e.Local)
+	b = canon.AppendUint(b, uint64(e.Offset))
+	return canon.AppendUint(b, e.LastSeq)
 }
 
-func decodeResyncEntries(payload []byte) ([]resyncEntry, error) {
+func decodeResyncEntry(payload []byte) (resyncEntry, error) {
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	if err := readVersion(r); err != nil {
+		return resyncEntry{}, err
+	}
+	ref, err := readPartRef(r)
 	if err != nil {
-		return nil, err
+		return resyncEntry{}, err
 	}
-	if v != wireVersion {
-		return nil, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
+	e := resyncEntry{partRef: ref}
+	if e.Local, err = r.String(); err != nil {
+		return resyncEntry{}, err
 	}
-	// An entry is at least two name lengths plus three fixed ints.
-	n, err := r.Count(40)
+	off, err := r.Uint()
 	if err != nil {
-		return nil, err
+		return resyncEntry{}, err
 	}
-	out := make([]resyncEntry, n)
-	for i := range out {
-		if out[i].Dataset, err = r.String(); err != nil {
-			return nil, err
-		}
-		part, err := r.Uint()
-		if err != nil {
-			return nil, err
-		}
-		if part > 1<<31 {
-			return nil, canon.ErrCorrupt
-		}
-		out[i].Part = int(part)
-		if out[i].Local, err = r.String(); err != nil {
-			return nil, err
-		}
-		off, err := r.Uint()
-		if err != nil {
-			return nil, err
-		}
-		if off > 1<<62 {
-			return nil, canon.ErrCorrupt
-		}
-		out[i].Offset = int64(off)
-		if out[i].LastSeq, err = r.Uint(); err != nil {
-			return nil, err
-		}
+	if off > 1<<62 {
+		return resyncEntry{}, canon.ErrCorrupt
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
+	e.Offset = int64(off)
+	if e.LastSeq, err = r.Uint(); err != nil {
+		return resyncEntry{}, err
 	}
-	return out, nil
+	return e, checkDrained(r)
 }
 
 // encodeResyncChunk frames one piece of one snapshot file. The data
@@ -204,12 +159,8 @@ func encodeResyncChunk(name string, data []byte) []byte {
 
 func decodeResyncChunk(payload []byte) (name string, data []byte, err error) {
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
-	if err != nil {
+	if err := readVersion(r); err != nil {
 		return "", nil, err
-	}
-	if v != wireVersion {
-		return "", nil, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	if name, err = r.String(); err != nil {
 		return "", nil, err
@@ -250,71 +201,43 @@ func (w *chunkWriter) flush() error {
 	return err
 }
 
-// captureResync locks the requested partitions' cursors (sorted order,
-// so concurrent transfers cannot deadlock) and records their entries.
-// The returned unlock releases them; the caller holds the locks across
-// the engine snapshot so the streamed state matches the cursors.
-func (n *Node) captureResync(refs []partRef) (entries []resyncEntry, locals []string, unlock func(), err error) {
-	sorted := append([]partRef(nil), refs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Dataset != sorted[j].Dataset {
-			return sorted[i].Dataset < sorted[j].Dataset
-		}
-		return sorted[i].Part < sorted[j].Part
-	})
-	var pis []*partIngest
-	unlock = func() {
-		for _, pi := range pis {
-			pi.mu.Unlock()
-		}
+// captureResync locks ref's cursor and records its entry. The caller
+// holds pi.mu across the engine snapshot so the streamed state matches
+// the cursor, then unlocks it.
+func (n *Node) captureResync(ref partRef) (resyncEntry, *partIngest, error) {
+	n.mu.Lock()
+	entry, ok := n.parts[ref.Dataset][ref.Part]
+	n.mu.Unlock()
+	if !ok {
+		return resyncEntry{}, nil, fmt.Errorf("cluster: resync: %q part %d not on this node", ref.Dataset, ref.Part)
 	}
-	for _, ref := range sorted {
-		n.mu.Lock()
-		entry, ok := n.parts[ref.Dataset][ref.Part]
-		n.mu.Unlock()
-		if !ok {
-			unlock()
-			return nil, nil, nil, fmt.Errorf("cluster: resync: %q part %d not on this node", ref.Dataset, ref.Part)
-		}
-		pi := n.partIngest(ref.Dataset, ref.Part)
-		pi.mu.Lock()
-		pis = append(pis, pi)
-		entries = append(entries, resyncEntry{
-			Dataset: ref.Dataset, Part: ref.Part,
-			Local: entry.local, Offset: entry.offset, LastSeq: pi.lastSeq,
-		})
-		if entry.local != "" {
-			locals = append(locals, entry.local)
-		}
-	}
-	return entries, locals, unlock, nil
+	pi := n.partIngest(ref.Dataset, ref.Part)
+	pi.mu.Lock()
+	return resyncEntry{partRef: ref, Local: entry.local, Offset: entry.offset, LastSeq: pi.lastSeq}, pi, nil
 }
 
 // serveResync is the donor handler for one 'S' request: capture the
-// partitions' cursors, stream their snapshot as 'D' chunks, finish
-// with a 'Y' carrying the cursors.
+// partition's cursor, stream its snapshot as 'D' chunks, finish with a
+// 'Y' carrying the cursor.
 func (n *Node) serveResync(c net.Conn, payload []byte) {
-	refs, err := decodePartRefs(payload)
+	ref, err := decodePartRef(payload)
 	if err != nil {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+		n.refuse(c, "bad-resync", err)
 		return
 	}
-	entries, locals, unlock, err := n.captureResync(refs)
+	entry, pi, err := n.captureResync(ref)
 	if err != nil {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("resync", err.Error()))
+		n.refuse(c, "resync", err)
 		return
 	}
-	defer unlock()
-	if len(locals) > 0 {
-		if err := n.eng.SnapshotDatasets(context.Background(), donorBackend{c: c}, locals); err != nil {
-			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("resync", err.Error()))
+	defer pi.mu.Unlock()
+	if entry.Local != "" {
+		if err := n.eng.SnapshotDatasets(context.Background(), donorBackend{c: c}, []string{entry.Local}); err != nil {
+			n.refuse(c, "resync", err)
 			return
 		}
 	}
-	writeFrame(c, frameResyncState, encodeResyncEntries(entries))
+	writeFrame(c, frameResyncState, encodeResyncEntry(entry))
 }
 
 // donorBackend adapts the connection to segment.Backend for the donor
@@ -345,130 +268,83 @@ func (db donorBackend) Open(string) (segment.Blob, error) {
 // already reported); true leaves the session open for the router's
 // log-tail replay.
 func (n *Node) handleInstall(c net.Conn, payload []byte) bool {
-	refs, err := decodePartRefs(payload)
+	ref, err := decodePartRef(payload)
 	if err != nil {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+		n.refuse(c, "bad-resync", err)
 		return false
 	}
 	files := make(map[string][]byte)
-	var entries []resyncEntry
-receive:
-	for {
-		typ, pl, err := readFrame(c)
+	typ, pl, err := readFrame(c)
+	for ; err == nil && typ == frameResyncChunk; typ, pl, err = readFrame(c) {
+		name, data, err := decodeResyncChunk(pl)
 		if err != nil {
+			n.refuse(c, "bad-resync", err)
 			return false
 		}
-		switch typ {
-		case frameResyncChunk:
-			name, data, err := decodeResyncChunk(pl)
-			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
-				return false
-			}
-			files[name] = append(files[name], data...)
-		case frameInstallDone:
-			if entries, err = decodeResyncEntries(pl); err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
-				return false
-			}
-			break receive
-		default:
-			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-frame",
-				fmt.Sprintf("unexpected frame %q during resync install", typ)))
-			return false
-		}
+		files[name] = append(files[name], data...)
+	}
+	if err != nil {
+		return false
+	}
+	if typ != frameInstallDone {
+		n.refuse(c, "bad-frame", fmt.Errorf("unexpected frame %q during resync install", typ))
+		return false
+	}
+	entry, err := decodeResyncEntry(pl)
+	if err != nil {
+		n.refuse(c, "bad-resync", err)
+		return false
 	}
 	mem := segment.NewMem()
 	for name, data := range files {
 		if err := mem.Put(name, data); err != nil {
-			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+			n.refuse(c, "bad-resync", err)
 			return false
 		}
 	}
-	if err := n.installResync(mem, refs, entries); err != nil {
-		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("resync", err.Error()))
+	if err := n.installResync(mem, ref, entry); err != nil {
+		n.refuse(c, "resync", err)
 		return false
 	}
-	return writeFrame(c, frameResyncState, encodeResyncEntries(entries)) == nil
+	return writeFrame(c, frameResyncState, encodeResyncEntry(entry)) == nil
 }
 
 // installResync swaps the received snapshot in. Validation follows
-// RestoreNode's discipline: every entry must answer a requested
-// partition this node actually holds under the boot topology, and
-// local names must be the deterministic dataset#part form, so a donor
-// cannot graft a foreign dataset in. The partition cursor locks are
-// held across the engine swap, serializing against any in-flight
-// append; the engine install verifies section checksums and bumps
-// dataset generations (stale cache entries invalidate).
-func (n *Node) installResync(b segment.Backend, refs []partRef, entries []resyncEntry) error {
-	wanted := make(map[partRef]bool, len(refs))
-	for _, ref := range refs {
-		wanted[ref] = true
+// RestoreNode's discipline: the entry must answer the requested
+// partition, that partition must be one this node holds under the boot
+// topology, and the local name must be the deterministic dataset#part
+// form, so a donor cannot graft a foreign dataset in. The partition
+// cursor lock is held across the engine swap, serializing against any
+// in-flight append; the engine install verifies section checksums and
+// bumps the dataset's generation (stale cache entries invalidate).
+func (n *Node) installResync(b segment.Backend, ref partRef, e resyncEntry) error {
+	if e.partRef != ref {
+		return fmt.Errorf("cluster: resync entry %q part %d was not requested (want %q part %d)",
+			e.Dataset, e.Part, ref.Dataset, ref.Part)
 	}
-	for _, e := range entries {
-		ref := partRef{Dataset: e.Dataset, Part: e.Part}
-		if !wanted[ref] {
-			return fmt.Errorf("cluster: resync entry %q part %d was not requested", e.Dataset, e.Part)
-		}
-		delete(wanted, ref)
-		if e.Local != "" && e.Local != n.localName(e.Dataset, e.Part) {
-			return fmt.Errorf("cluster: resync entry %q part %d names local %q, want %q",
-				e.Dataset, e.Part, e.Local, n.localName(e.Dataset, e.Part))
-		}
-		n.mu.Lock()
-		_, ok := n.parts[e.Dataset][e.Part]
-		n.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("cluster: resync install: %q part %d not placed on this node", e.Dataset, e.Part)
-		}
+	if want := n.localName(e.Dataset, e.Part); e.Local != "" && e.Local != want {
+		return fmt.Errorf("cluster: resync entry %q part %d names local %q, want %q",
+			e.Dataset, e.Part, e.Local, want)
 	}
-	if len(wanted) > 0 {
-		return fmt.Errorf("cluster: resync commit covers %d of %d requested partitions", len(entries), len(refs))
+	n.mu.Lock()
+	_, ok := n.parts[e.Dataset][e.Part]
+	n.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("cluster: resync install: %q part %d not placed on this node", e.Dataset, e.Part)
 	}
 
-	sorted := append([]resyncEntry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Dataset != sorted[j].Dataset {
-			return sorted[i].Dataset < sorted[j].Dataset
-		}
-		return sorted[i].Part < sorted[j].Part
-	})
-	pis := make([]*partIngest, len(sorted))
-	for i, e := range sorted {
-		pis[i] = n.partIngest(e.Dataset, e.Part)
-		pis[i].mu.Lock()
-	}
-	defer func() {
-		for _, pi := range pis {
-			pi.mu.Unlock()
-		}
-	}()
-
-	var locals []string
-	for _, e := range sorted {
-		if e.Local != "" {
-			locals = append(locals, e.Local)
-		}
-	}
-	if len(locals) > 0 {
-		if err := n.eng.InstallDatasets(b, locals); err != nil {
+	pi := n.partIngest(e.Dataset, e.Part)
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	if e.Local != "" {
+		if err := n.eng.InstallDatasets(b, []string{e.Local}); err != nil {
 			return err
 		}
 	}
 	n.mu.Lock()
-	for _, e := range sorted {
-		n.parts[e.Dataset][e.Part] = partEntry{local: e.Local, offset: e.Offset}
-	}
+	n.parts[e.Dataset][e.Part] = partEntry{local: e.Local, offset: e.Offset}
 	n.mu.Unlock()
-	for i, e := range sorted {
-		pis[i].lastSeq = e.LastSeq
-	}
+	pi.lastSeq = e.LastSeq
 	return nil
 }
 
@@ -480,7 +356,6 @@ type routerResyncStats struct {
 	resyncs       atomic.Int64
 	failures      atomic.Int64
 	bytesStreamed atomic.Int64
-	partitions    atomic.Int64
 	replayed      atomic.Int64
 	forcedPrunes  atomic.Int64
 	catchUpErrors atomic.Int64
@@ -489,8 +364,8 @@ type routerResyncStats struct {
 // ResyncStats is a point-in-time sample of the router's resync and
 // recovery counters, surfaced through modelird's /stats.
 type ResyncStats struct {
-	// Resyncs counts completed donor→replica snapshot transfers (one
-	// per donor session, possibly covering several partitions).
+	// Resyncs counts completed donor→replica snapshot installs, one per
+	// repaired partition.
 	Resyncs int64 `json:"resyncs"`
 	// Failures counts resync attempts that errored; the replica stays
 	// quarantined and the next reconcile pass retries.
@@ -498,9 +373,9 @@ type ResyncStats struct {
 	// BytesStreamed totals the snapshot chunk bytes forwarded
 	// donor→replica.
 	BytesStreamed int64 `json:"bytes_streamed"`
-	// Partitions counts partitions repaired by snapshot install.
-	Partitions int64 `json:"partitions"`
-	// ReplayedBatches counts log-tail batches replayed after installs.
+	// ReplayedBatches counts logged batches replayed to quarantined
+	// replicas during catch-up, above either the replica's own cursor
+	// or a donor's cut.
 	ReplayedBatches int64 `json:"replayed_batches"`
 	// ForcedPrunes counts append-log records dropped by the log cap
 	// before every replica acked them (each forces the lagging replica
@@ -517,7 +392,6 @@ func (r *Router) ResyncStats() ResyncStats {
 		Resyncs:         r.stats.resyncs.Load(),
 		Failures:        r.stats.failures.Load(),
 		BytesStreamed:   r.stats.bytesStreamed.Load(),
-		Partitions:      r.stats.partitions.Load(),
 		ReplayedBatches: r.stats.replayed.Load(),
 		ForcedPrunes:    r.stats.forcedPrunes.Load(),
 		CatchUpErrors:   r.stats.catchUpErrors.Load(),
@@ -544,174 +418,82 @@ func (r *Router) Degraded() bool {
 	return false
 }
 
-// owedPart is one partition whose log no longer covers a stale
-// replica's gap.
-type owedPart struct {
-	dataset string
-	pa      *partIngestState
-}
-
-// resyncPeer repairs addr's owed partitions by snapshot transfer,
-// grouping them by donor (the first servable replica of each, in
-// placement order) so partitions sharing a donor move in one session.
-func (r *Router) resyncPeer(ctx context.Context, addr string, owed []owedPart) error {
-	groups := make(map[string][]owedPart)
-	for _, op := range owed {
-		donor := ""
-		for _, cand := range op.pa.nodes {
-			if cand != addr && r.health.servable(cand) {
-				donor = cand
-				break
-			}
-		}
-		if donor == "" {
-			return fmt.Errorf("%w: %q part %d: no healthy donor for resync",
-				ErrPartitionUnavailable, op.dataset, op.pa.part)
-		}
-		groups[donor] = append(groups[donor], op)
-	}
-	donors := make([]string, 0, len(groups))
-	for donor := range groups {
-		donors = append(donors, donor)
-	}
-	sort.Strings(donors)
-	for _, donor := range donors {
-		if err := r.resyncFromDonor(ctx, addr, donor, groups[donor]); err != nil {
-			r.stats.failures.Add(1)
-			return fmt.Errorf("cluster: resync %s from %s: %w", addr, donor, err)
+// installFromDonor streams one partition to addr over conn, the
+// replica's open ingest session, from the first servable other replica
+// in placement order, and returns the donor's cursor: the cut above
+// which the caller replays the log. Caller holds pa.mu.
+func (r *Router) installFromDonor(ctx context.Context, conn net.Conn, addr, dataset string, pa *partIngestState) (uint64, error) {
+	donor := ""
+	for _, cand := range pa.nodes {
+		if cand != addr && r.health.servable(cand) {
+			donor = cand
+			break
 		}
 	}
-	return nil
-}
-
-// resyncFromDonor runs one donor session: lock the owed partitions
-// (sorted — concurrent resyncs cannot deadlock), request the donor
-// snapshot, forward its chunks to the stale replica, commit the
-// install, then replay each partition's remaining log tail on the same
-// connection and mark the replica acked through the latest batch.
-func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed []owedPart) error {
-	sort.Slice(owed, func(i, j int) bool {
-		if owed[i].dataset != owed[j].dataset {
-			return owed[i].dataset < owed[j].dataset
-		}
-		return owed[i].pa.part < owed[j].pa.part
-	})
-	for _, op := range owed {
-		op.pa.mu.Lock()
+	if donor == "" {
+		return 0, fmt.Errorf("%w: %q part %d: no healthy donor for resync",
+			ErrPartitionUnavailable, dataset, pa.part)
 	}
-	defer func() {
-		for _, op := range owed {
-			op.pa.mu.Unlock()
-		}
-	}()
-
-	refs := make([]partRef, len(owed))
-	for i, op := range owed {
-		refs[i] = partRef{Dataset: op.dataset, Part: op.pa.part}
-	}
+	ref := partRef{Dataset: dataset, Part: pa.part}
 	dc, err := r.dialIngest(ctx, donor)
 	if err != nil {
 		r.health.fault(donor)
-		return err
+		return 0, err
 	}
 	defer dc.Close()
-	sc, err := r.dialIngest(ctx, addr)
-	if err != nil {
-		r.health.fault(addr)
-		return err
-	}
-	defer sc.Close()
-	if err := writeFrame(dc, frameResyncReq, encodePartRefs(refs)); err != nil {
+	if err := writeFrame(dc, frameResyncReq, encodePartRef(ref)); err != nil {
 		r.health.fault(donor)
-		return err
+		return 0, err
 	}
-	if err := writeFrame(sc, frameInstall, encodePartRefs(refs)); err != nil {
+	if err := writeFrame(conn, frameInstall, encodePartRef(ref)); err != nil {
 		r.health.fault(addr)
-		return err
+		return 0, err
 	}
 
 	// Pump: donor chunks forward verbatim until the donor's 'Y'.
-	var entries []resyncEntry
+	var typ byte
+	var pl []byte
 	var streamed int64
-	for entries == nil {
+	for {
 		_ = dc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		_ = sc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		typ, pl, err := readFrame(dc)
-		if err != nil {
+		_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		if typ, pl, err = readFrame(dc); err != nil {
 			r.health.fault(donor)
-			return err
+			return 0, err
 		}
-		switch typ {
-		case frameResyncChunk:
-			streamed += int64(len(pl))
-			if err := writeFrame(sc, frameResyncChunk, pl); err != nil {
-				r.health.fault(addr)
-				return err
-			}
-		case frameResyncState:
-			if entries, err = decodeResyncEntries(pl); err != nil {
-				return err
-			}
-		case frameError:
-			code, msg, derr := decodeError(pl)
-			if derr != nil {
-				return derr
-			}
-			return &RemoteError{Addr: donor, Code: code, Msg: msg}
-		default:
-			return fmt.Errorf("%w: unexpected frame %q from resync donor", ErrFrame, typ)
+		if typ == frameResyncState {
+			break
+		}
+		if typ != frameResyncChunk {
+			return 0, replyError(donor, typ, pl)
+		}
+		streamed += int64(len(pl))
+		if err := writeFrame(conn, frameResyncChunk, pl); err != nil {
+			r.health.fault(addr)
+			return 0, err
 		}
 	}
-	if err := writeFrame(sc, frameInstallDone, encodeResyncEntries(entries)); err != nil {
-		r.health.fault(addr)
-		return err
-	}
-	_ = sc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-	typ, pl, err := readFrame(sc)
+	cut, err := decodeResyncEntry(pl)
 	if err != nil {
+		return 0, err
+	}
+	if cut.partRef != ref {
+		return 0, fmt.Errorf("%w: donor cut for %q part %d, want %q part %d",
+			ErrFrame, cut.Dataset, cut.Part, dataset, pa.part)
+	}
+	if err := writeFrame(conn, frameInstallDone, encodeResyncEntry(cut)); err != nil {
 		r.health.fault(addr)
-		return err
+		return 0, err
 	}
-	switch typ {
-	case frameResyncState:
-		if _, err := decodeResyncEntries(pl); err != nil {
-			return err
-		}
-	case frameError:
-		code, msg, derr := decodeError(pl)
-		if derr != nil {
-			return derr
-		}
-		return &RemoteError{Addr: addr, Code: code, Msg: msg}
-	default:
-		return fmt.Errorf("%w: unexpected frame %q from resync install", ErrFrame, typ)
+	_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+	if typ, pl, err = readFrame(conn); err != nil {
+		r.health.fault(addr)
+		return 0, err
 	}
-
-	// Install done: the replica holds each partition exactly at the
-	// donor's cut. Replay the log tail above each cut on the same
-	// session, then the replica is current through nextSeq-1.
-	for _, op := range owed {
-		var cut *resyncEntry
-		for i := range entries {
-			if entries[i].Dataset == op.dataset && entries[i].Part == op.pa.part {
-				cut = &entries[i]
-				break
-			}
-		}
-		if cut == nil {
-			return fmt.Errorf("%w: donor reported no cursor for %q part %d", ErrFrame, op.dataset, op.pa.part)
-		}
-		op.pa.acked[addr] = cut.LastSeq
-		replayed, err := r.replayLog(ctx, sc, addr, op.pa, cut.LastSeq)
-		if err != nil {
-			return err
-		}
-		r.stats.replayed.Add(int64(replayed))
-		op.pa.acked[addr] = op.pa.nextSeq - 1
-		op.pa.prune()
+	if typ != frameResyncState {
+		return 0, replyError(addr, typ, pl)
 	}
 	r.stats.resyncs.Add(1)
 	r.stats.bytesStreamed.Add(streamed)
-	r.stats.partitions.Add(int64(len(owed)))
-	return nil
+	return cut.LastSeq, nil
 }

@@ -3,7 +3,8 @@
 // log is repaired by a donor snapshot transfer with no operator action,
 // (2) a router restart mid-ingest re-learns cursors, acked floors, and
 // the global row watermark — never reusing a global ID range and never
-// assuming an unreachable replica current — and (3) a seeded chaos
+// assuming an unreachable replica current, (3) the receiver refuses a
+// donor entry that would graft foreign state, and (4) a seeded chaos
 // matrix interleaving kills, recoveries, appends, queries, and router
 // restarts always converges to all-healthy, bit-identical answers.
 
@@ -15,7 +16,9 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +28,7 @@ import (
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 // TestClusterResyncAfterLogPruned is the tentpole pin: with a tiny log
@@ -69,8 +73,8 @@ func TestClusterResyncAfterLogPruned(t *testing.T) {
 			health[addrs[1]], router.PeerErrors())
 	}
 	st := router.ResyncStats()
-	if st.Resyncs == 0 || st.BytesStreamed == 0 || st.Partitions == 0 {
-		t.Fatalf("resync stats = %+v, want nonzero resyncs/bytes/partitions", st)
+	if st.Resyncs == 0 || st.BytesStreamed == 0 {
+		t.Fatalf("resync stats = %+v, want nonzero resyncs/bytes", st)
 	}
 
 	// The survivor dies: every answer must now come from the resynced
@@ -193,6 +197,187 @@ func TestRouterRestartMidIngest(t *testing.T) {
 	// was reused, no batch lost, across the router generations.
 	nodes[0].Kill()
 	runSix(t, "router-restart", router2, reqs, want)
+}
+
+// donorStream asks the node at addr for a snapshot of ref, as the
+// router does in a resync, and returns the 'D' chunk payloads and the
+// cut the donor reports.
+func donorStream(t *testing.T, addr string, ref partRef) ([][]byte, resyncEntry) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(c, frameResyncReq, encodePartRef(ref)); err != nil {
+		t.Fatal(err)
+	}
+	var chunks [][]byte
+	for {
+		typ, pl, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case frameResyncChunk:
+			chunks = append(chunks, pl)
+		case frameResyncState:
+			cut, err := decodeResyncEntry(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return chunks, cut
+		default:
+			t.Fatalf("donor answered %q", typ)
+		}
+	}
+}
+
+// installOn drives one 'I' … 'J' install exchange against the node at
+// addr and returns its reply frame.
+func installOn(t *testing.T, addr string, ref partRef, chunks [][]byte, entry resyncEntry) (byte, []byte) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(c, frameInstall, encodePartRef(ref)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range chunks {
+		if err := writeFrame(c, frameResyncChunk, pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeFrame(c, frameInstallDone, encodeResyncEntry(entry)); err != nil {
+		t.Fatal(err)
+	}
+	typ, pl, err := readFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return typ, pl
+}
+
+// TestInstallRefusesForeignState pins the receiver's install guard: a
+// donor entry that would graft state the replica did not ask for — a
+// partition other than the requested one, a local dataset other than
+// dataset#part, or a partition the topology never placed on the node —
+// is refused with an 'E' frame, and the replica's cursors and answers
+// are unchanged afterwards. A matching install through the same
+// exchange is accepted, so the refusals come from the guard.
+func TestInstallRefusesForeignState(t *testing.T) {
+	ctx := context.Background()
+	pts, err := synth.GaussianTuples(71, 600, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = lns[i].Addr().String()
+	}
+	topo := Topology{Nodes: addrs, Replication: 2}
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		nodes[i] = NewNode(addrs[i], topo, NodeOptions{Shards: 2})
+		if err := nodes[i].AddTuples("gauss", pts); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].ServeListener(lns[i])
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+
+	// The donor's partition 1 moves ahead of the receiver's with rows
+	// that top every query, so a graft shows in cursors and answers.
+	top := [][]float64{{100, 100, 100}, {90, 90, 90}}
+	if _, _, err := nodes[1].AppendRows(ctx, AppendBatch{
+		Dataset: "gauss", Part: 1, Seq: 1, Base: int64(len(pts)), Tuples: top,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		seqs  map[partRef]SeqEntry
+		items map[string][]topk.Item
+	}
+	observe := func() state {
+		st := state{seqs: make(map[partRef]SeqEntry), items: make(map[string][]topk.Item)}
+		for _, e := range nodes[0].seqState("") {
+			st.seqs[partRef{Dataset: e.Dataset, Part: e.Part}] = e
+		}
+		for _, local := range []string{"gauss#0", "gauss#1"} {
+			res, err := nodes[0].eng.Run(ctx, core.Request{Dataset: local, Query: core.LinearQuery{Model: lm}, K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.items[local] = res.Items
+		}
+		return st
+	}
+	before := observe()
+
+	chunks, cut := donorStream(t, addrs[1], partRef{Dataset: "gauss", Part: 1})
+	foreignLocal := cut
+	foreignLocal.Part = 0 // gauss#1's rows under partition 0
+	cases := []struct {
+		name   string
+		ref    partRef
+		entry  resyncEntry
+		chunks [][]byte
+		reason string
+	}{
+		{"other partition", partRef{Dataset: "gauss", Part: 0}, cut, chunks, "was not requested"},
+		{"foreign local", partRef{Dataset: "gauss", Part: 0}, foreignLocal, chunks, "names local"},
+		{"unplaced partition", partRef{Dataset: "gauss", Part: 7},
+			resyncEntry{partRef: partRef{Dataset: "gauss", Part: 7}, LastSeq: 3}, nil, "not placed"},
+	}
+	for _, tc := range cases {
+		typ, pl := installOn(t, addrs[0], tc.ref, tc.chunks, tc.entry)
+		if typ != frameError {
+			t.Fatalf("%s: install answered %q, want an error frame", tc.name, typ)
+		}
+		code, msg, err := decodeError(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != "resync" || !strings.Contains(msg, tc.reason) {
+			t.Fatalf("%s: refused with %s: %q, want resync: …%s…", tc.name, code, msg, tc.reason)
+		}
+		after := observe()
+		if !reflect.DeepEqual(after.seqs, before.seqs) {
+			t.Fatalf("%s: cursors moved: %+v, was %+v", tc.name, after.seqs, before.seqs)
+		}
+		for local, items := range after.items {
+			itemsEqual(t, tc.name+" "+local, items, before.items[local])
+		}
+	}
+
+	// Control: the same chunks under the requested partition install.
+	if typ, pl := installOn(t, addrs[0], partRef{Dataset: "gauss", Part: 1}, chunks, cut); typ != frameResyncState {
+		t.Fatalf("matching install answered %q: %s", typ, replyError(addrs[0], typ, pl))
+	}
+	after := observe()
+	if got := after.seqs[partRef{Dataset: "gauss", Part: 1}].LastSeq; got != 1 {
+		t.Fatalf("installed partition cursor = %d, want 1", got)
+	}
+	// Engine-local IDs: the appended row sits at global len(pts).
+	if first := after.items["gauss#1"][0]; first.ID != int64(len(pts))-cut.Offset {
+		t.Fatalf("installed partition's top item = %+v, want the donor's appended row %d", first, len(pts))
+	}
 }
 
 // ---- chaos matrix ----

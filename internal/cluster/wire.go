@@ -201,12 +201,9 @@ type nodeQuery struct {
 func decodeQuery(payload []byte) (nodeQuery, error) {
 	var q nodeQuery
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	err := readVersion(r)
 	if err != nil {
 		return q, err
-	}
-	if v != wireVersion {
-		return q, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	if q.Dataset, err = r.String(); err != nil {
 		return q, err
@@ -340,10 +337,7 @@ func decodeQuery(payload []byte) (nodeQuery, error) {
 	default:
 		return q, fmt.Errorf("%w: query kind %q", canon.ErrCorrupt, kind)
 	}
-	if r.Remaining() != 0 {
-		return q, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return q, nil
+	return q, checkDrained(r)
 }
 
 // PartialStats is the node-side slice of QueryStats that survives the
@@ -402,12 +396,9 @@ func encodePartial(p Partial) []byte {
 func decodePartial(payload []byte) (Partial, error) {
 	var p Partial
 	r := canon.NewReader(payload)
-	v, err := r.Byte()
+	err := readVersion(r)
 	if err != nil {
 		return p, err
-	}
-	if v != wireVersion {
-		return p, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
 	if p.Floor, err = r.Float(); err != nil {
 		return p, err
@@ -491,10 +482,7 @@ func decodePartial(payload []byte) (Partial, error) {
 			return p, canon.ErrCorrupt
 		}
 	}
-	if r.Remaining() != 0 {
-		return p, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
-	return p, nil
+	return p, checkDrained(r)
 }
 
 // encodeFloor serializes an 'F' payload: one result-scale floor value.
@@ -520,4 +508,38 @@ func decodeError(payload []byte) (code, msg string, err error) {
 		return "", "", err
 	}
 	return code, msg, nil
+}
+
+// replyError turns a reply that is not the frame the caller expected
+// into an error: an 'E' frame becomes the node's RemoteError, anything
+// else is a protocol violation.
+func replyError(addr string, typ byte, payload []byte) error {
+	if typ != frameError {
+		return fmt.Errorf("%w: unexpected frame %q from %s", ErrFrame, typ, addr)
+	}
+	code, msg, err := decodeError(payload)
+	if err != nil {
+		return err
+	}
+	return &RemoteError{Addr: addr, Code: code, Msg: msg}
+}
+
+// readVersion consumes and checks a payload's leading wire version.
+func readVersion(r *canon.Reader) error {
+	v, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	if v != wireVersion {
+		return fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
+	}
+	return nil
+}
+
+// checkDrained rejects trailing bytes after a fully decoded payload.
+func checkDrained(r *canon.Reader) error {
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/progressive"
 	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
@@ -46,13 +47,13 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	machine := fsm.FireAnts()
 	gq := GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone},
-		MaxGapFt: 10, MinGamma: 45,
+		MaxGapFt: 10, MinGamma: 45, Method: GeoPruned,
 	}
 
 	const workers = 16
 	linearResults := make([][]topk.Item, workers)
 	fsmResults := make([][]topk.Item, workers)
-	geoResults := make([][]WellMatch, workers)
+	geoResults := make([][]topk.Item, workers)
 	errs := make([]error, workers)
 
 	var wg sync.WaitGroup
@@ -60,24 +61,22 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			items, _, err := e.LinearTopKTuples("t", m, 5)
+			res, err := runQ(e, "t", LinearQuery{Model: m}, 5)
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			linearResults[w] = items
-			fitems, _, err := e.FSMTopK("w", machine, 5, FireAntsPrefilter)
-			if err != nil {
+			linearResults[w] = res.Items
+			if res, err = runQ(e, "w", FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, 5); err != nil {
 				errs[w] = err
 				return
 			}
-			fsmResults[w] = fitems
-			gitems, _, err := e.GeologyTopK("g", gq, 5, GeoPruned)
-			if err != nil {
+			fsmResults[w] = res.Items
+			if res, err = runQ(e, "g", gq, 5); err != nil {
 				errs[w] = err
 				return
 			}
-			geoResults[w] = gitems
+			geoResults[w] = res.Items
 		}(w)
 	}
 	wg.Wait()
@@ -101,7 +100,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 			}
 		}
 		for i := range geoResults[0] {
-			if geoResults[w][i].Well != geoResults[0][i].Well ||
+			if geoResults[w][i].ID != geoResults[0][i].ID ||
 				geoResults[w][i].Score != geoResults[0][i].Score {
 				t.Fatalf("worker %d geology result differs at %d", w, i)
 			}
@@ -194,53 +193,44 @@ func TestShardEquivalenceAllFamilies(t *testing.T) {
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   GeoPruned,
 	}
-	machine := fsm.FireAnts()
+	fsmQ := FSMQuery{Machine: fsm.FireAnts(), Prefilter: FireAntsPrefilter}
+	run := func(e *Engine, dataset string, q Query) Result {
+		t.Helper()
+		res, err := runQ(e, dataset, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
 	ref := engineWithArchives(t, 1, a)
-	refLinear, refLinSt, err := ref.LinearTopKTuples("gauss", lm, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refScene, _, err := ref.SceneTopK("hps", a.pm, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFSM, refFSMSt, err := ref.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGeo, _, err := ref.GeologyTopK("basin", geoQ, 10, GeoPruned)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refLinRes := run(ref, "gauss", LinearQuery{Model: lm})
+	refLinear, refLinSt := refLinRes.Items, refLinRes.Stats.Detail.(LinearTupleStats)
+	refScene := run(ref, "hps", SceneQuery{Model: a.pm}).Items
+	refFSMRes := run(ref, "weather", fsmQ)
+	refFSM, refFSMSt := refFSMRes.Items, refFSMRes.Stats.Detail.(FSMStats)
+	refGeo := run(ref, "basin", geoQ).Items
 
 	for _, shards := range []int{1, 4, 7} {
 		e := engineWithArchives(t, shards, a)
 
-		lin, linSt, err := e.LinearTopKTuples("gauss", lm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), lin, refLinear)
-		if linSt.ScanCost != refLinSt.ScanCost {
+		linRes := run(e, "gauss", LinearQuery{Model: lm})
+		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), linRes.Items, refLinear)
+		if linSt := linRes.Stats.Detail.(LinearTupleStats); linSt.ScanCost != refLinSt.ScanCost {
 			t.Fatalf("shards=%d scan cost %d vs %d", shards, linSt.ScanCost, refLinSt.ScanCost)
 		}
 
-		scene, sceneSt, err := e.SceneTopK("hps", a.pm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), scene, refScene)
-		if sceneSt.Work() == 0 {
+		sceneRes := run(e, "hps", SceneQuery{Model: a.pm})
+		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), sceneRes.Items, refScene)
+		if sceneRes.Stats.Detail.(progressive.Stats).Work() == 0 {
 			t.Fatalf("shards=%d no scene work recorded", shards)
 		}
 
-		fsmItems, fsmSt, err := e.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fsmItems, refFSM)
+		fsmRes := run(e, "weather", fsmQ)
+		fsmSt := fsmRes.Stats.Detail.(FSMStats)
+		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fsmRes.Items, refFSM)
 		// Prefilter decisions are per-region, so pruning stats are
 		// shard-invariant too.
 		if fsmSt.RegionsTotal != refFSMSt.RegionsTotal ||
@@ -249,15 +239,12 @@ func TestShardEquivalenceAllFamilies(t *testing.T) {
 			t.Fatalf("shards=%d fsm stats %+v vs %+v", shards, fsmSt, refFSMSt)
 		}
 
-		geo, _, err := e.GeologyTopK("basin", geoQ, 10, GeoPruned)
-		if err != nil {
-			t.Fatal(err)
-		}
+		geo := run(e, "basin", geoQ).Items
 		if len(geo) != len(refGeo) {
 			t.Fatalf("geology shards=%d: %d vs %d wells", shards, len(geo), len(refGeo))
 		}
 		for i := range refGeo {
-			if geo[i].Well != refGeo[i].Well || math.Abs(geo[i].Score-refGeo[i].Score) > 1e-12 {
+			if geo[i].ID != refGeo[i].ID || math.Abs(geo[i].Score-refGeo[i].Score) > 1e-12 {
 				t.Fatalf("geology shards=%d pos %d: %+v vs %+v", shards, i, geo[i], refGeo[i])
 			}
 		}
@@ -281,12 +268,14 @@ func TestConcurrentRegistrationAndQueries(t *testing.T) {
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   GeoDP,
 	}
 
-	wantLinear, _, err := e.LinearTopKTuples("gauss", lm, 5)
+	want, err := runQ(e, "gauss", LinearQuery{Model: lm}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLinear := want.Items
 
 	const writers, readers, rounds = 4, 8, 6
 	var wg sync.WaitGroup
@@ -321,29 +310,29 @@ func TestConcurrentRegistrationAndQueries(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				switch rd % 4 {
 				case 0:
-					items, _, err := e.LinearTopKTuples("gauss", lm, 5)
+					res, err := runQ(e, "gauss", LinearQuery{Model: lm}, 5)
 					if err != nil {
 						errc <- err
 						return
 					}
 					for i := range wantLinear {
-						if items[i].ID != wantLinear[i].ID {
+						if res.Items[i].ID != wantLinear[i].ID {
 							errc <- fmt.Errorf("linear result drifted under load")
 							return
 						}
 					}
 				case 1:
-					if _, _, err := e.SceneTopK("hps", a.pm, 5); err != nil {
+					if _, err := runQ(e, "hps", SceneQuery{Model: a.pm}, 5); err != nil {
 						errc <- err
 						return
 					}
 				case 2:
-					if _, _, err := e.FSMTopK("weather", machine, 5, FireAntsPrefilter); err != nil {
+					if _, err := runQ(e, "weather", FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, 5); err != nil {
 						errc <- err
 						return
 					}
 				case 3:
-					if _, _, err := e.GeologyTopK("basin", geoQ, 5, GeoDP); err != nil {
+					if _, err := runQ(e, "basin", geoQ, 5); err != nil {
 						errc <- err
 						return
 					}
@@ -382,12 +371,12 @@ func TestConcurrentFirstQueryBuildsIndexOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			items, _, err := e.LinearTopKTuples("t", lm, 8)
+			res, err := runQ(e, "t", LinearQuery{Model: lm}, 8)
 			if err != nil {
 				errc <- err
 				return
 			}
-			results[c] = items
+			results[c] = res.Items
 		}(c)
 	}
 	wg.Wait()
@@ -469,10 +458,11 @@ func TestShardEquivalenceWithTies(t *testing.T) {
 		if err := e.AddTuples("dup", pts); err != nil {
 			t.Fatal(err)
 		}
-		items, _, err := e.LinearTopKTuples("dup", lm, 18)
+		res, err := runQ(e, "dup", LinearQuery{Model: lm}, 18)
 		if err != nil {
 			t.Fatal(err)
 		}
+		items := res.Items
 		if want == nil {
 			want = items
 			// With 5 prototypes and k=18, ties are certain; the order

@@ -23,7 +23,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -32,10 +31,8 @@ import (
 
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
-	"modelir/internal/linear"
 	"modelir/internal/onion"
 	"modelir/internal/parallel"
-	"modelir/internal/progressive"
 	"modelir/internal/qcache"
 	"modelir/internal/sproc"
 	"modelir/internal/synth"
@@ -317,58 +314,6 @@ type LinearTupleStats struct {
 	ScanCost int
 }
 
-// legacyK rejects result counts Run's K-defaulting would otherwise
-// mask, preserving the deprecated wrappers' k >= 1 contract.
-func legacyK(k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: k %d: %w", k, topk.ErrBadCapacity)
-	}
-	return nil
-}
-
-// LinearTopKTuples retrieves the top-K tuples maximizing the model over
-// a registered tuple archive. See LinearQuery for the execution notes.
-//
-// Deprecated: use Run with a LinearQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) LinearTopKTuples(dataset string, m *linear.Model, k int) ([]topk.Item, LinearTupleStats, error) {
-	var st LinearTupleStats
-	if err := legacyK(k); err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   LinearQuery{Model: m},
-		K:       k,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	st, _ = res.Stats.Detail.(LinearTupleStats)
-	return res.Items, st, nil
-}
-
-// SceneTopK retrieves the top-K locations of a linear risk model over a
-// registered raster archive. See SceneQuery for the execution notes.
-//
-// Deprecated: use Run with a SceneQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) SceneTopK(dataset string, pm *linear.ProgressiveModel, k int) ([]topk.Item, progressive.Stats, error) {
-	if err := legacyK(k); err != nil {
-		return nil, progressive.Stats{}, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   SceneQuery{Model: pm},
-		K:       k,
-	})
-	if err != nil {
-		return nil, progressive.Stats{}, err
-	}
-	st, _ := res.Stats.Detail.(progressive.Stats)
-	return res.Items, st, nil
-}
-
 // FSMStats reports finite-state retrieval work.
 type FSMStats struct {
 	RegionsTotal  int
@@ -385,54 +330,6 @@ type FSMPrefilter func(synth.DrySpellStats) bool
 // position >= 3.
 func FireAntsPrefilter(s synth.DrySpellStats) bool {
 	return s.MaxDrySpell >= 3 && s.MaxTempAfterDry3 >= fsm.FlyTempC
-}
-
-// FSMTopK ranks regions of a series archive by fsm.FlyScore under the
-// given machine. See FSMQuery for the execution notes.
-//
-// Deprecated: use Run with an FSMQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) FSMTopK(dataset string, m *fsm.Machine, k int, pre FSMPrefilter) ([]topk.Item, FSMStats, error) {
-	return e.fsmTopK(dataset, m, k, pre, 0)
-}
-
-func (e *Engine) fsmTopK(dataset string, m *fsm.Machine, k int, pre FSMPrefilter, workers int) ([]topk.Item, FSMStats, error) {
-	var st FSMStats
-	if err := legacyK(k); err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   FSMQuery{Machine: m, Prefilter: pre},
-		K:       k,
-		Workers: workers,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	st, _ = res.Stats.Detail.(FSMStats)
-	return res.Items, st, nil
-}
-
-// FSMDistanceRank ranks regions by how closely the machine their data
-// exhibits matches the target machine. See FSMDistanceQuery for the
-// execution notes.
-//
-// Deprecated: use Run with an FSMDistanceQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) FSMDistanceRank(dataset string, target *fsm.Machine, k, horizon int) ([]topk.Item, error) {
-	if err := legacyK(k); err != nil {
-		return nil, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   FSMDistanceQuery{Target: target, Horizon: horizon},
-		K:       k,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Items, nil
 }
 
 // GeologyQuery is the Fig. 4 knowledge model: an ordered lithology
@@ -477,52 +374,12 @@ type WellMatch struct {
 // GeologyMethod selects the SPROC evaluator.
 type GeologyMethod int
 
-// Evaluator choices for GeologyTopK.
+// Evaluator choices for GeologyQuery.Method.
 const (
 	GeoBruteForce GeologyMethod = iota + 1
 	GeoDP
 	GeoPruned
 )
-
-// GeologyTopK retrieves the top-K wells whose strata best satisfy the
-// knowledge model. See GeologyQuery for the execution notes.
-//
-// Deprecated: use Run with a GeologyQuery (set its Method field); this
-// wrapper exists for callers that predate the unified request API and
-// adds no behavior beyond converting items to WellMatch values.
-func (e *Engine) GeologyTopK(dataset string, q GeologyQuery, k int, method GeologyMethod) ([]WellMatch, sproc.Stats, error) {
-	return e.geologyTopK(dataset, q, k, method, 0)
-}
-
-func (e *Engine) geologyTopK(dataset string, q GeologyQuery, k int, method GeologyMethod, workers int) ([]WellMatch, sproc.Stats, error) {
-	var agg sproc.Stats
-	if err := legacyK(k); err != nil {
-		return nil, agg, err
-	}
-	// The legacy signature takes the method positionally and never
-	// accepted zero; only the unified path defaults it to GeoDP.
-	switch method {
-	case GeoBruteForce, GeoDP, GeoPruned:
-	default:
-		return nil, agg, fmt.Errorf("core: unknown geology method %d", method)
-	}
-	q.Method = method
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   q,
-		K:       k,
-		Workers: workers,
-	})
-	if err != nil {
-		return nil, agg, err
-	}
-	agg, _ = res.Stats.Detail.(sproc.Stats)
-	out, err := WellMatches(res.Items)
-	if err != nil {
-		return nil, agg, err
-	}
-	return out, agg, nil
-}
 
 // WellMatches converts GeologyQuery result items (well IDs with strata
 // payloads) into WellMatch values.

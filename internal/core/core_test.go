@@ -1,14 +1,22 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/progressive"
+	"modelir/internal/sproc"
 	"modelir/internal/synth"
 )
+
+// runQ runs one query through Run with a background context.
+func runQ(e *Engine, dataset string, q Query, k int) (Result, error) {
+	return e.Run(context.Background(), Request{Dataset: dataset, Query: q, K: k})
+}
 
 func engineWithTuples(t *testing.T) (*Engine, [][]float64) {
 	t.Helper()
@@ -62,10 +70,11 @@ func TestLinearTopKTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.LinearTopKTuples("gauss", m, 5)
+	res, err := runQ(e, "gauss", LinearQuery{Model: m}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	items, st := res.Items, res.Stats.Detail.(LinearTupleStats)
 	if len(items) != 5 {
 		t.Fatalf("got %d items", len(items))
 	}
@@ -84,10 +93,10 @@ func TestLinearTopKTuples(t *testing.T) {
 		t.Fatalf("index touched %d >= scan %d", st.Indexed.PointsTouched, st.ScanCost)
 	}
 	// Cached index reused on second query.
-	if _, _, err := e.LinearTopKTuples("gauss", m, 1); err != nil {
+	if _, err := runQ(e, "gauss", LinearQuery{Model: m}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.LinearTopKTuples("missing", m, 1); err == nil {
+	if _, err := runQ(e, "missing", LinearQuery{Model: m}, 1); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -110,17 +119,17 @@ func TestSceneTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.SceneTopK("hps", pm, 10)
+	res, err := runQ(e, "hps", SceneQuery{Model: pm}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 10 {
-		t.Fatalf("items=%d", len(items))
+	if len(res.Items) != 10 {
+		t.Fatalf("items=%d", len(res.Items))
 	}
-	if st.Work() == 0 {
+	if res.Stats.Detail.(progressive.Stats).Work() == 0 {
 		t.Fatal("no work recorded")
 	}
-	if _, _, err := e.SceneTopK("missing", pm, 1); err == nil {
+	if _, err := runQ(e, "missing", SceneQuery{Model: pm}, 1); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -136,14 +145,16 @@ func TestFSMTopKWithPruning(t *testing.T) {
 	}
 	m := fsm.FireAnts()
 
-	base, baseSt, err := e.FSMTopK("weather", m, 10, nil)
+	baseRes, err := runQ(e, "weather", FSMQuery{Machine: m}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, prunedSt, err := e.FSMTopK("weather", m, 10, FireAntsPrefilter)
+	prunedRes, err := runQ(e, "weather", FSMQuery{Machine: m, Prefilter: FireAntsPrefilter}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, baseSt := baseRes.Items, baseRes.Stats.Detail.(FSMStats)
+	pruned, prunedSt := prunedRes.Items, prunedRes.Stats.Detail.(FSMStats)
 	if len(base) != len(pruned) {
 		t.Fatalf("result sizes differ: %d vs %d", len(base), len(pruned))
 	}
@@ -158,7 +169,7 @@ func TestFSMTopKWithPruning(t *testing.T) {
 	if baseSt.RegionsTotal != 40 {
 		t.Fatalf("regions total %d", baseSt.RegionsTotal)
 	}
-	if _, _, err := e.FSMTopK("missing", m, 1, nil); err == nil {
+	if _, err := runQ(e, "missing", FSMQuery{Machine: m}, 1); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -172,10 +183,11 @@ func TestFSMDistanceRank(t *testing.T) {
 	if err := e.AddSeries("weather", arch); err != nil {
 		t.Fatal(err)
 	}
-	items, err := e.FSMDistanceRank("weather", fsm.FireAnts(), 5, 10)
+	res, err := runQ(e, "weather", FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	items := res.Items
 	if len(items) != 5 {
 		t.Fatalf("items=%d", len(items))
 	}
@@ -186,7 +198,7 @@ func TestFSMDistanceRank(t *testing.T) {
 			t.Fatalf("region %d score %v want 1", it.ID, it.Score)
 		}
 	}
-	if _, err := e.FSMDistanceRank("missing", fsm.FireAnts(), 1, 5); err == nil {
+	if _, err := runQ(e, "missing", FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 5}, 1); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -209,14 +221,22 @@ func TestGeologyTopKFindsPlantedWells(t *testing.T) {
 	// retrieve every well to check the planted ones are all present.
 	k := len(wells)
 
-	dp, dpSt, err := e.GeologyTopK("basin", q, k, GeoDP)
-	if err != nil {
-		t.Fatal(err)
+	geology := func(method GeologyMethod) ([]WellMatch, sproc.Stats) {
+		t.Helper()
+		gq := q
+		gq.Method = method
+		res, err := runQ(e, "basin", gq, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches, err := WellMatches(res.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches, res.Stats.Detail.(sproc.Stats)
 	}
-	pruned, prSt, err := e.GeologyTopK("basin", q, k, GeoPruned)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp, dpSt := geology(GeoDP)
+	pruned, prSt := geology(GeoPruned)
 	if len(dp) != len(pruned) {
 		t.Fatalf("dp %d vs pruned %d wells", len(dp), len(pruned))
 	}
@@ -254,19 +274,20 @@ func TestGeologyValidation(t *testing.T) {
 	if err := e.AddWells("b", wells); err != nil {
 		t.Fatal(err)
 	}
-	bad := GeologyQuery{}
-	if _, _, err := e.GeologyTopK("b", bad, 1, GeoDP); err == nil {
+	bad := GeologyQuery{Method: GeoDP}
+	if _, err := runQ(e, "b", bad, 1); err == nil {
 		t.Fatal("want empty sequence error")
 	}
-	q := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MaxGapFt: -1}
-	if _, _, err := e.GeologyTopK("b", q, 1, GeoDP); err == nil {
+	q := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MaxGapFt: -1, Method: GeoDP}
+	if _, err := runQ(e, "b", q, 1); err == nil {
 		t.Fatal("want negative gap error")
 	}
-	ok := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MinGamma: 45}
-	if _, _, err := e.GeologyTopK("missing", ok, 1, GeoDP); err == nil {
+	ok := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MinGamma: 45, Method: GeoDP}
+	if _, err := runQ(e, "missing", ok, 1); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.GeologyTopK("b", ok, 1, GeologyMethod(99)); err == nil {
+	ok.Method = GeologyMethod(99)
+	if _, err := runQ(e, "b", ok, 1); err == nil {
 		t.Fatal("want unknown method error")
 	}
 }

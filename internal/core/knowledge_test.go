@@ -27,10 +27,11 @@ func knowledgeEngine(t *testing.T) (*Engine, *archive.Scene) {
 
 func TestKnowledgeTopKTiles(t *testing.T) {
 	e, ar := knowledgeEngine(t)
-	items, st, err := e.KnowledgeTopKTiles("s", HPSTileRules(), 5)
+	res, err := runQ(e, "s", KnowledgeQuery{Rules: HPSTileRules()}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	items, st := res.Items, res.Stats.Detail.(KnowledgeStats)
 	if st.TilesScored != len(ar.Tiles) {
 		t.Fatalf("scored %d of %d tiles", st.TilesScored, len(ar.Tiles))
 	}
@@ -65,16 +66,16 @@ func TestKnowledgeTopKTiles(t *testing.T) {
 
 func TestKnowledgeTopKTilesValidation(t *testing.T) {
 	e, _ := knowledgeEngine(t)
-	if _, _, err := e.KnowledgeTopKTiles("s", nil, 5); err == nil {
+	if _, err := runQ(e, "s", KnowledgeQuery{}, 5); err == nil {
 		t.Fatal("want empty rules error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("s", bayes.NewRuleSet(), 5); err == nil {
+	if _, err := runQ(e, "s", KnowledgeQuery{Rules: bayes.NewRuleSet()}, 5); err == nil {
 		t.Fatal("want empty rules error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("missing", HPSTileRules(), 5); err == nil {
+	if _, err := runQ(e, "missing", KnowledgeQuery{Rules: HPSTileRules()}, 5); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("s", HPSTileRules(), 0); err == nil {
+	if _, err := runQ(e, "s", KnowledgeQuery{Rules: HPSTileRules()}, -1); err == nil {
 		t.Fatal("want k error")
 	}
 }
@@ -83,20 +84,20 @@ func TestKnowledgeRulesDiscriminate(t *testing.T) {
 	e, _ := knowledgeEngine(t)
 	// A rule set demanding impossible values returns nothing.
 	impossible := bayes.NewRuleSet().Require("b4.mean", bayes.Above{Lo: 10_000, Hi: 10_001})
-	items, _, err := e.KnowledgeTopKTiles("s", impossible, 5)
+	res, err := runQ(e, "s", KnowledgeQuery{Rules: impossible}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 0 {
-		t.Fatalf("impossible rules matched %d tiles", len(items))
+	if len(res.Items) != 0 {
+		t.Fatalf("impossible rules matched %d tiles", len(res.Items))
 	}
 	// A tautological rule set matches every tile at full grade.
 	always := bayes.NewRuleSet().Require("b4.mean", bayes.Above{Lo: -1, Hi: 0})
-	items, _, err = e.KnowledgeTopKTiles("s", always, 1000)
+	res, err = runQ(e, "s", KnowledgeQuery{Rules: always}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 64 {
-		t.Fatalf("tautology matched %d of 64 tiles", len(items))
+	if len(res.Items) != 64 {
+		t.Fatalf("tautology matched %d of 64 tiles", len(res.Items))
 	}
 }

@@ -3,31 +3,18 @@ package core
 import (
 	"fmt"
 
-	"modelir/internal/fsm"
 	"modelir/internal/parallel"
-	"modelir/internal/sproc"
 	"modelir/internal/topk"
 )
 
-// Worker-count overrides. Since the engine shards archives at ingest
-// and every query already fans out one worker per shard, FSMTopKParallel
-// and GeologyTopKParallel only pin the size of the goroutine pool the
-// shards are scheduled on (0 = GOMAXPROCS); results and stats are
-// identical to the plain methods for any worker count, and effective
-// parallelism is bounded by the engine's ingest shard count.
-// ScanTopKTuplesParallel, by contrast, partitions per *item* so its
-// `workers` always controls fan-out — it is the honest multi-core
-// baseline even on a Shards:1 engine.
-
-// FSMTopKParallel is FSMTopK scheduled on `workers` goroutines.
-func (e *Engine) FSMTopKParallel(dataset string, m *fsm.Machine, k int, pre FSMPrefilter, workers int) ([]topk.Item, FSMStats, error) {
-	return e.fsmTopK(dataset, m, k, pre, workers)
-}
-
-// GeologyTopKParallel is GeologyTopK scheduled on `workers` goroutines.
-func (e *Engine) GeologyTopKParallel(dataset string, q GeologyQuery, k int, method GeologyMethod, workers int) ([]WellMatch, sproc.Stats, error) {
-	return e.geologyTopK(dataset, q, k, method, workers)
-}
+// Worker-count overrides live on Request.Workers: since the engine
+// shards archives at ingest and every query already fans out one worker
+// per shard, it only pins the size of the goroutine pool the shards are
+// scheduled on (0 = GOMAXPROCS), and effective parallelism is bounded
+// by the engine's ingest shard count. ScanTopKTuplesParallel, by
+// contrast, partitions per *item* so its `workers` always controls
+// fan-out — it is the honest multi-core baseline even on a Shards:1
+// engine.
 
 // ScanTopKTuplesParallel is the sequential-scan baseline sharded across
 // workers: used to keep speedup comparisons honest on multi-core hosts

@@ -1,13 +1,21 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/sproc"
 	"modelir/internal/synth"
 )
+
+// runWorkers runs one query through Run on a pinned worker pool
+// (0 = GOMAXPROCS).
+func runWorkers(e *Engine, dataset string, q Query, k, workers int) (Result, error) {
+	return e.Run(context.Background(), Request{Dataset: dataset, Query: q, K: k, Workers: workers})
+}
 
 func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 	e := NewEngine()
@@ -18,16 +26,18 @@ func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 	if err := e.AddSeries("w", arch); err != nil {
 		t.Fatal(err)
 	}
-	m := fsm.FireAnts()
-	serial, serialSt, err := e.FSMTopK("w", m, 10, FireAntsPrefilter)
+	q := FSMQuery{Machine: fsm.FireAnts(), Prefilter: FireAntsPrefilter}
+	serialRes, err := runWorkers(e, "w", q, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial, serialSt := serialRes.Items, serialRes.Stats.Detail.(FSMStats)
 	for _, workers := range []int{1, 2, 8, 100} {
-		par, parSt, err := e.FSMTopKParallel("w", m, 10, FireAntsPrefilter, workers)
+		parRes, err := runWorkers(e, "w", q, 10, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		par, parSt := parRes.Items, parRes.Stats.Detail.(FSMStats)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d vs %d results", workers, len(par), len(serial))
 		}
@@ -41,7 +51,7 @@ func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d stats diverged: %+v vs %+v", workers, parSt, serialSt)
 		}
 	}
-	if _, _, err := e.FSMTopKParallel("missing", m, 1, nil, 2); err == nil {
+	if _, err := runWorkers(e, "missing", FSMQuery{Machine: q.Machine}, 1, 2); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -59,15 +69,22 @@ func TestGeologyTopKParallelMatchesSerial(t *testing.T) {
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   GeoPruned,
 	}
-	serial, serialSt, err := e.GeologyTopK("b", q, 20, GeoPruned)
-	if err != nil {
-		t.Fatal(err)
+	geology := func(workers int) ([]WellMatch, sproc.Stats) {
+		t.Helper()
+		res, err := runWorkers(e, "b", q, 20, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches, err := WellMatches(res.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches, res.Stats.Detail.(sproc.Stats)
 	}
-	par, parSt, err := e.GeologyTopKParallel("b", q, 20, GeoPruned, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, serialSt := geology(0)
+	par, parSt := geology(8)
 	if len(par) != len(serial) {
 		t.Fatalf("%d vs %d results", len(par), len(serial))
 	}
@@ -79,14 +96,14 @@ func TestGeologyTopKParallelMatchesSerial(t *testing.T) {
 	if parSt.PairEvals != serialSt.PairEvals {
 		t.Fatalf("stats diverged: %d vs %d pair evals", parSt.PairEvals, serialSt.PairEvals)
 	}
-	bad := GeologyQuery{}
-	if _, _, err := e.GeologyTopKParallel("b", bad, 1, GeoDP, 2); err == nil {
+	if _, err := runWorkers(e, "b", GeologyQuery{Method: GeoDP}, 1, 2); err == nil {
 		t.Fatal("want validation error")
 	}
-	if _, _, err := e.GeologyTopKParallel("missing", q, 1, GeoDP, 2); err == nil {
+	if _, err := runWorkers(e, "missing", q, 1, 2); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.GeologyTopKParallel("b", q, 1, GeologyMethod(99), 2); err == nil {
+	q.Method = GeologyMethod(99)
+	if _, err := runWorkers(e, "b", q, 1, 2); err == nil {
 		t.Fatal("want unknown method error")
 	}
 }
@@ -110,10 +127,11 @@ func TestScanTopKTuplesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, _, err := e.LinearTopKTuples("t", m, 10)
+	res, err := runWorkers(e, "t", LinearQuery{Model: m}, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	indexed := res.Items
 	for i := range indexed {
 		if par[i].ID != indexed[i].ID || math.Abs(par[i].Score-indexed[i].Score) > 1e-12 {
 			t.Fatalf("pos %d: scan %+v vs indexed %+v", i, par[i], indexed[i])

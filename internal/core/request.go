@@ -103,7 +103,7 @@ type QueryStats struct {
 	Cache CacheInfo
 	// Detail carries the family-specific stats struct
 	// (LinearTupleStats, progressive.Stats, FSMStats, sproc.Stats,
-	// KnowledgeStats) for callers that want the legacy counters.
+	// KnowledgeStats) for callers that want the family's own counters.
 	Detail any
 }
 

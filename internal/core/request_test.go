@@ -11,6 +11,8 @@ import (
 	"modelir/internal/bayes"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/progressive"
+	"modelir/internal/sproc"
 	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
@@ -32,11 +34,10 @@ func testGeoQuery() GeologyQuery {
 	}
 }
 
-// TestRunMatchesLegacyAllFamilies pins the satellite invariant: Run
-// results are bit-identical (IDs and scores, ties included) to the
-// legacy per-family methods across shard counts 1, 4 and 7, and the
-// normalized stats carry the legacy detail shapes.
-func TestRunMatchesLegacyAllFamilies(t *testing.T) {
+// TestRunDetailAllFamilies pins Run on every family across shard
+// counts 1, 4 and 7: linear answers match brute force, and the
+// normalized stats agree with each family's detail stats.
+func TestRunDetailAllFamilies(t *testing.T) {
 	a := buildArchives(t)
 	lm := testLinearModel(t)
 	geoQ := testGeoQuery()
@@ -47,15 +48,10 @@ func TestRunMatchesLegacyAllFamilies(t *testing.T) {
 		e := engineWithArchives(t, shards, a)
 
 		// Linear over tuples, cross-checked against direct evaluation.
-		legacy, legacySt, err := e.LinearTopKTuples("gauss", lm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := e.Run(ctx, Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), res.Items, legacy)
 		bestID, bestScore := -1, math.Inf(-1)
 		for i, p := range a.pts {
 			if s, _ := lm.Eval(p); s > bestScore {
@@ -67,8 +63,8 @@ func TestRunMatchesLegacyAllFamilies(t *testing.T) {
 				shards, res.Items[0].ID, res.Items[0].Score, bestID, bestScore)
 		}
 		det, ok := res.Stats.Detail.(LinearTupleStats)
-		if !ok || det != legacySt {
-			t.Fatalf("shards=%d linear detail %+v vs legacy %+v", shards, res.Stats.Detail, legacySt)
+		if !ok {
+			t.Fatalf("shards=%d linear detail %+v", shards, res.Stats.Detail)
 		}
 		if res.Stats.Kind != KindLinear || res.Stats.Shards != shards ||
 			res.Stats.Evaluations != det.Indexed.PointsTouched ||
@@ -78,24 +74,16 @@ func TestRunMatchesLegacyAllFamilies(t *testing.T) {
 		}
 
 		// Progressive linear over the scene.
-		sLegacy, sLegacySt, err := e.SceneTopK("hps", a.pm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sRes, err := e.Run(ctx, Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), sRes.Items, sLegacy)
-		if sRes.Stats.Evaluations != sLegacySt.Work() || sRes.Stats.Kind != KindLinear {
-			t.Fatalf("shards=%d scene stats %+v vs work %d", shards, sRes.Stats, sLegacySt.Work())
+		sDet := sRes.Stats.Detail.(progressive.Stats)
+		if sRes.Stats.Evaluations != sDet.Work() || sRes.Stats.Kind != KindLinear {
+			t.Fatalf("shards=%d scene stats %+v vs work %d", shards, sRes.Stats, sDet.Work())
 		}
 
 		// Finite-state score and distance ranking.
-		fLegacy, fLegacySt, err := e.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fRes, err := e.Run(ctx, Request{
 			Dataset: "weather",
 			Query:   FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter},
@@ -104,67 +92,45 @@ func TestRunMatchesLegacyAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fRes.Items, fLegacy)
-		if fRes.Stats.Pruned != fLegacySt.RegionsPruned ||
-			fRes.Stats.Evaluations != fLegacySt.DaysScanned ||
+		fDet := fRes.Stats.Detail.(FSMStats)
+		if fRes.Stats.Pruned != fDet.RegionsPruned ||
+			fRes.Stats.Evaluations != fDet.DaysScanned ||
 			fRes.Stats.Kind != KindFiniteState {
-			t.Fatalf("shards=%d fsm stats %+v vs legacy %+v", shards, fRes.Stats, fLegacySt)
+			t.Fatalf("shards=%d fsm stats %+v vs detail %+v", shards, fRes.Stats, fDet)
 		}
 
-		dLegacy, err := e.FSMDistanceRank("weather", machine, 5, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dRes, err := e.Run(ctx, Request{
+		if _, err := e.Run(ctx, Request{
 			Dataset: "weather",
 			Query:   FSMDistanceQuery{Target: machine, Horizon: 8},
 			K:       5,
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		itemsEqual(t, fmt.Sprintf("fsm-distance shards=%d", shards), dRes.Items, dLegacy)
 
 		// Knowledge over wells (geology).
-		gLegacy, gLegacySt, err := e.GeologyTopK("basin", geoQ, 10, GeoPruned)
-		if err != nil {
-			t.Fatal(err)
-		}
 		gq := geoQ
 		gq.Method = GeoPruned
 		gRes, err := e.Run(ctx, Request{Dataset: "basin", Query: gq, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gGot, err := WellMatches(gRes.Items)
-		if err != nil {
+		if _, err := WellMatches(gRes.Items); err != nil {
 			t.Fatal(err)
 		}
-		if len(gGot) != len(gLegacy) {
-			t.Fatalf("geology shards=%d: %d vs %d wells", shards, len(gGot), len(gLegacy))
-		}
-		for i := range gLegacy {
-			if gGot[i].Well != gLegacy[i].Well || gGot[i].Score != gLegacy[i].Score {
-				t.Fatalf("geology shards=%d pos %d: %+v vs %+v", shards, i, gGot[i], gLegacy[i])
-			}
-		}
-		if gRes.Stats.Evaluations != gLegacySt.UnaryEvals+gLegacySt.PairEvals ||
+		gDet := gRes.Stats.Detail.(sproc.Stats)
+		if gRes.Stats.Evaluations != gDet.UnaryEvals+gDet.PairEvals ||
 			gRes.Stats.Kind != KindKnowledge {
-			t.Fatalf("geology shards=%d stats %+v vs legacy %+v", shards, gRes.Stats, gLegacySt)
+			t.Fatalf("geology shards=%d stats %+v vs detail %+v", shards, gRes.Stats, gDet)
 		}
 
 		// Knowledge over scene tiles.
-		kLegacy, kLegacySt, err := e.KnowledgeTopKTiles("hps", HPSTileRules(), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
 		kRes, err := e.Run(ctx, Request{Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		itemsEqual(t, fmt.Sprintf("knowledge shards=%d", shards), kRes.Items, kLegacy)
-		if kRes.Stats.Examined != kLegacySt.TilesScored || kRes.Stats.Kind != KindKnowledge {
-			t.Fatalf("knowledge shards=%d stats %+v vs legacy %+v", shards, kRes.Stats, kLegacySt)
+		kDet := kRes.Stats.Detail.(KnowledgeStats)
+		if kRes.Stats.Examined != kDet.TilesScored || kRes.Stats.Kind != KindKnowledge {
+			t.Fatalf("knowledge shards=%d stats %+v vs detail %+v", shards, kRes.Stats, kDet)
 		}
 	}
 }
@@ -251,13 +217,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if len(res.Items) != DefaultK {
 		t.Fatalf("defaulted K returned %d items, want %d", len(res.Items), DefaultK)
-	}
-	// Legacy wrappers still reject k < 1 rather than defaulting.
-	if _, _, err := e.LinearTopKTuples("gauss", lm, 0); !errors.Is(err, topk.ErrBadCapacity) {
-		t.Fatalf("legacy k=0: got %v, want ErrBadCapacity", err)
-	}
-	if _, _, err := e.FSMTopK("weather", fsm.FireAnts(), 0, nil); !errors.Is(err, topk.ErrBadCapacity) {
-		t.Fatalf("legacy fsm k=0: got %v, want ErrBadCapacity", err)
 	}
 }
 

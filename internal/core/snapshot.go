@@ -132,7 +132,7 @@ func (e *Engine) Snapshot(ctx context.Context, b segment.Backend) error {
 
 // SnapshotDatasets persists only the named datasets to b — the donor
 // side of cluster resync, where a replica streams a consistent
-// snapshot of exactly the partitions a stale peer owes. Selection is
+// snapshot of exactly the partition a stale peer owes. Selection is
 // by name across every kind (engine-local cluster names are unique, so
 // a name selects one dataset in practice); a name matching nothing is
 // an error, because a donor must actually hold what it offered. Like

@@ -624,14 +624,18 @@ func E7(cfg Config) (Table, error) {
 			return t, err
 		}
 		m := fsm.FireAnts()
-		flat, fst, err := e.FSMTopK("w", m, 10, nil)
+		flatRes, err := e.Run(context.Background(), core.Request{Dataset: "w", Query: core.FSMQuery{Machine: m}, K: 10})
 		if err != nil {
 			return t, err
 		}
-		pruned, pst, err := e.FSMTopK("w", m, 10, core.FireAntsPrefilter)
+		prunedRes, err := e.Run(context.Background(), core.Request{
+			Dataset: "w", Query: core.FSMQuery{Machine: m, Prefilter: core.FireAntsPrefilter}, K: 10,
+		})
 		if err != nil {
 			return t, err
 		}
+		flat, fst := flatRes.Items, flatRes.Stats.Detail.(core.FSMStats)
+		pruned, pst := prunedRes.Items, prunedRes.Stats.Detail.(core.FSMStats)
 		agree := len(flat) == len(pruned)
 		for i := range flat {
 			if !agree || flat[i].ID != pruned[i].ID {
@@ -697,11 +701,16 @@ func E8(cfg Config) (Table, error) {
 	results := make(map[string]res, len(methods))
 	for _, mm := range methods {
 		start := time.Now()
-		matches, st, err := e.GeologyTopK("basin", q, nWells, mm.m)
+		q.Method = mm.m
+		out, err := e.Run(context.Background(), core.Request{Dataset: "basin", Query: q, K: nWells})
 		if err != nil {
 			return t, err
 		}
-		results[mm.name] = res{matches: matches, stats: st, dur: time.Since(start)}
+		matches, err := core.WellMatches(out.Items)
+		if err != nil {
+			return t, err
+		}
+		results[mm.name] = res{matches: matches, stats: out.Stats.Detail.(sproc.Stats), dur: time.Since(start)}
 	}
 	recallOf := func(r res) string {
 		got := make(map[int]bool)

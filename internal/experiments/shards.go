@@ -111,7 +111,7 @@ func runShardSweep(cfg Config) ([]shardPoint, error) {
 func E9(cfg Config) (Table, error) {
 	t := Table{
 		ID:    "E9",
-		Title: "Shard scaling of LinearTopKTuples (8-attr Gaussian tuples, scan-bound regime)",
+		Title: "Shard scaling of linear top-K over tuples (8-attr Gaussian tuples, scan-bound regime)",
 		Columns: []string{
 			"shards", "queries/s", "ns/query", "pts touched", "speedup vs 1 shard",
 		},

@@ -254,7 +254,7 @@ func HPSNetwork() (*BayesNet, bayes.HPSVars, error) { return bayes.HPSNetwork() 
 func NewRuleSet() *RuleSet { return bayes.NewRuleSet() }
 
 // HPSTileRules compiles the Fig. 3 model into a feature-level rule set
-// for Engine.KnowledgeTopKTiles on Landsat-like archives.
+// for a KnowledgeQuery on Landsat-like archives.
 func HPSTileRules() *RuleSet { return core.HPSTileRules() }
 
 // Geology evaluator choices.

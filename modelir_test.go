@@ -1,6 +1,7 @@
 package modelir_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,11 @@ import (
 // would: generate an archive, register it, query it with each model
 // family, and check the results are sane. Detailed behaviour is covered
 // by the internal package suites.
+
+// runQ runs one query through Engine.Run with a background context.
+func runQ(e *modelir.Engine, dataset string, q modelir.Query, k int) (modelir.Result, error) {
+	return e.Run(context.Background(), modelir.Request{Dataset: dataset, Query: q, K: k})
+}
 
 func TestPublicTupleRetrieval(t *testing.T) {
 	pts, err := modelir.GenerateTuples(1, 5000, 3)
@@ -26,14 +32,16 @@ func TestPublicTupleRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.LinearTopKTuples("t", m, 5)
+	res, err := runQ(e, "t", modelir.LinearQuery{Model: m}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	items := res.Items
 	if len(items) != 5 {
 		t.Fatalf("items=%d", len(items))
 	}
-	if st.Indexed.PointsTouched >= len(pts) {
+	// Linear Evaluations counts the points the index touched.
+	if res.Stats.Evaluations >= len(pts) {
 		t.Fatal("index did not prune")
 	}
 	// Scores must be real model values, descending.
@@ -80,12 +88,12 @@ func TestPublicSceneWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := e.SceneTopK("s", pm, 5)
+	res, err := runQ(e, "s", modelir.SceneQuery{Model: pm}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 5 {
-		t.Fatalf("items=%d", len(items))
+	if len(res.Items) != 5 {
+		t.Fatalf("items=%d", len(res.Items))
 	}
 }
 
@@ -98,11 +106,11 @@ func TestPublicFSMAndKnowledge(t *testing.T) {
 	if err := e.AddSeries("w", weather); err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := e.FSMTopK("w", modelir.FireAntsModel(), 3, nil)
+	res, err := runQ(e, "w", modelir.FSMQuery{Machine: modelir.FireAntsModel()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) == 0 {
+	if len(res.Items) == 0 {
 		t.Fatal("no fly-risk regions found in a warm archive")
 	}
 
@@ -117,8 +125,12 @@ func TestPublicFSMAndKnowledge(t *testing.T) {
 		Sequence: []modelir.Lithology{modelir.Shale, modelir.Sandstone, modelir.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   modelir.GeoPruned,
 	}
-	matches, _, err := e.GeologyTopK("g", q, len(wells), modelir.GeoPruned)
+	if res, err = runQ(e, "g", q, len(wells)); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := modelir.WellMatches(res.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +231,11 @@ func TestPublicShardedEngineOptions(t *testing.T) {
 		if err := e.AddTuples("t", pts); err != nil {
 			t.Fatal(err)
 		}
-		items, _, err := e.LinearTopKTuples("t", m, 7)
+		res, err := runQ(e, "t", modelir.LinearQuery{Model: m}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
+		items := res.Items
 		if want == nil {
 			want = items
 			continue
